@@ -51,6 +51,13 @@ rm -f target/bench-current-join.json target/bench-current-serve.json
 ./target/release/serve_bench --quick --cluster 3 --bench-out target/bench-current-serve.json
 cargo xtask benchdiff --join target/bench-current-join.json --serve target/bench-current-serve.json
 
+echo "==> engine benchmark (builds, contract tests, every workload's output checks; timing advisory)"
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test --offline --manifest-path benchmark/Cargo.toml
+# Exits non-zero when any workload fails to run or reports "correct":false.
+cargo run --release --quiet --offline --manifest-path benchmark/Cargo.toml --bin benchmark -- \
+    --all --seed 1 --seconds 1
+
 echo "==> cargo xtask difftest --seeds 25"
 cargo xtask difftest --seeds 25
 

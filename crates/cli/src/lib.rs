@@ -327,13 +327,32 @@ pub fn run_cluster(opts: &args::ClusterOpts) -> Result<(), String> {
     } else {
         opts.addrs.clone()
     };
+    // The session owns the router, so its persistent node connections are
+    // closed before the nodes are told to shut down — and the nodes are
+    // shut down and joined whether or not the session ended in an error.
+    let outcome = cluster_session(addrs.clone(), opts.seed);
+    if !spawned.is_empty() {
+        for addr in &addrs {
+            let _ = ssj_serve::net::client_call(addr, "{\"op\":\"shutdown\"}");
+        }
+        for handle in spawned {
+            let _ = handle.join();
+        }
+    }
+    outcome
+}
+
+/// One router session on stdin/stdout over the nodes at `addrs`; returns
+/// at end of input or on a `shutdown` line, with every node connection
+/// closed.
+fn cluster_session(addrs: Vec<String>, seed: u64) -> Result<(), String> {
     let nodes = addrs.len();
     let ring = ssj_cluster::HashRing::new(
         u32::try_from(nodes).map_err(|_| "too many nodes".to_string())?,
         ssj_cluster::HashRing::DEFAULT_VNODES,
-        opts.seed,
+        seed,
     );
-    let transport = ssj_cluster::TcpTransport::new(addrs.clone());
+    let transport = ssj_cluster::TcpTransport::new(addrs);
     let mut router = ssj_cluster::Router::new(transport, ring, 1);
     let mut scratch = ssj_cluster::RouterScratch::default();
 
@@ -353,15 +372,6 @@ pub fn run_cluster(opts: &args::ClusterOpts) -> Result<(), String> {
         };
         writeln!(out_handle, "{reply}").map_err(|e| e.to_string())?;
         out_handle.flush().map_err(|e| e.to_string())?;
-    }
-    drop(router);
-    if !spawned.is_empty() {
-        for addr in &addrs {
-            let _ = ssj_serve::net::client_call(addr, "{\"op\":\"shutdown\"}");
-        }
-        for handle in spawned {
-            let _ = handle.join();
-        }
     }
     Ok(())
 }

@@ -15,10 +15,13 @@
 //! (`id % N`) and ids stay stable across node-internal rebuilds.
 //!
 //! [`Router::route_query`] is the hot entry point (a hotlint HOT_ROOT):
-//! after warm-up it performs no heap allocation — the request line,
-//! response buffer, canonical set, and per-node id buffer all live in
-//! [`RouterScratch`] and are reused across calls; response parsing is the
-//! byte-level [`crate::scan`] module, not a JSON tree.
+//! after warm-up it performs no heap allocation — the request line, the
+//! per-node response buffers, canonical set, and per-node id buffer all
+//! live in [`RouterScratch`] and are reused across calls; response parsing
+//! is the byte-level [`crate::scan`] module, not a JSON tree. The fan-out
+//! itself is one [`Transport::call_all`]: over TCP every node has the
+//! request before the first reply is read, so a query costs the slowest
+//! node, not the sum; the merge below it runs in node order either way.
 
 use crate::replica::Replica;
 use crate::ring::HashRing;
@@ -147,8 +150,12 @@ pub struct QueryAck {
 pub struct RouterScratch {
     /// Rendered request line, reused across calls.
     line: String,
-    /// Response line buffer, reused across calls.
+    /// Response line buffer of the single-node paths (insert, remove).
     resp: String,
+    /// One response line buffer per node for the query fan-out.
+    resps: Vec<String>,
+    /// One transport outcome per node for the query fan-out.
+    outcomes: Vec<Result<(), TransportError>>,
     /// Canonicalized (sorted, deduplicated) request set.
     set: Vec<ElementId>,
     /// One node's matching ids before cluster-id encoding.
@@ -359,7 +366,9 @@ impl<T: Transport> Router<T> {
     /// records each node's `seen_seq` in `seen`. A node that is
     /// unreachable is answered by its attached replica (at the replica's
     /// watermark); with no replica the whole query fails — a partial
-    /// answer would silently break the snapshot contract.
+    /// answer would silently break the snapshot contract. Every node is
+    /// asked before any answer is merged, so an early error return leaves
+    /// no reply unread on the transport.
     ///
     /// Allocation-free once `scratch`, `out`, and `seen` have warmed.
     pub fn route_query(
@@ -376,27 +385,30 @@ impl<T: Transport> Router<T> {
         scratch.set.dedup();
         Self::render_set_line("query", scratch);
         out.clear();
+        scratch.resps.resize_with(nodes, String::new);
+        self.transport
+            .call_all(&scratch.line, &mut scratch.resps, &mut scratch.outcomes);
+        let n = nodes as u64;
         let mut probed = 0u64;
         let mut replica_answers = 0u32;
-        for node in 0..nodes {
-            match self.transport.call(node, &scratch.line, &mut scratch.resp) {
+        for (node, outcome) in scratch.outcomes.drain(..).enumerate() {
+            match outcome {
                 Ok(()) => {
-                    if !scan::is_ok(&scratch.resp) {
-                        return Err(Self::classify(node, &scratch.resp));
+                    let resp = &scratch.resps[node];
+                    if !scan::is_ok(resp) {
+                        return Err(Self::classify(node, resp));
                     }
-                    let n = nodes as u64;
-                    let got_ids = scan::for_each_array_u64(&scratch.resp, "ids", |id| {
+                    let got_ids = scan::for_each_array_u64(resp, "ids", |id| {
                         out.push(id * n + node as u64);
                     });
-                    let seen_seq = scan::field_u64(&scratch.resp, "seen_seq");
-                    let node_probed = scan::field_u64(&scratch.resp, "probed");
+                    let seen_seq = scan::field_u64(resp, "seen_seq");
+                    let node_probed = scan::field_u64(resp, "probed");
                     let (true, Some(seen_seq), Some(node_probed)) =
                         (got_ids, seen_seq, node_probed)
                     else {
                         // hotlint: allow(hot-alloc-loop): terminal protocol-error path — allocates once while abandoning the query, never on the per-node success path.
                         return Err(RouterError::Protocol(format!(
-                            "query answer lacks ids/seen_seq/probed: {}",
-                            scratch.resp
+                            "query answer lacks ids/seen_seq/probed: {resp}"
                         )));
                     };
                     seen.set(node, seen_seq);
@@ -409,7 +421,6 @@ impl<T: Transport> Router<T> {
                     };
                     let (seen_seq, node_probed) =
                         replica.query_local(&scratch.set, &mut scratch.node_ids);
-                    let n = nodes as u64;
                     for &id in &scratch.node_ids {
                         out.push(id * n + node as u64);
                     }

@@ -22,21 +22,82 @@ pub enum SessionEnd {
     Shutdown,
 }
 
+/// Longest request line a session accepts, newline excluded. Sized above
+/// the largest legal request: the default `max_set_len` (65 536) elements
+/// of at most ten digits and a comma each is about 704 KiB.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// What [`read_request_line`] found.
+enum LineRead {
+    /// End of input before any byte of a further line.
+    Eof,
+    /// `line` holds one request line (newline stripped).
+    Line,
+    /// The line exceeded [`MAX_LINE_BYTES`]; all of it was discarded.
+    TooLong,
+}
+
+/// Reads the next line into the reused `line` buffer, never holding more
+/// than [`MAX_LINE_BYTES`] of it: the tail of an over-long line is consumed
+/// and dropped, so the session resumes at the next line boundary. A final
+/// line without a newline still counts, as with `BufRead::lines`.
+fn read_request_line<R: BufRead>(input: &mut R, line: &mut Vec<u8>) -> io::Result<LineRead> {
+    line.clear();
+    let mut too_long = false;
+    loop {
+        let buf = match input.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        // A line ends at its newline or, unterminated, at end of input.
+        let newline = buf.iter().position(|&b| b == b'\n');
+        let ended = newline.is_some() || buf.is_empty();
+        let chunk = &buf[..newline.unwrap_or(buf.len())];
+        if line.len() + chunk.len() > MAX_LINE_BYTES {
+            too_long = true;
+            line.clear();
+        } else if !too_long {
+            line.extend_from_slice(chunk);
+        }
+        let used = chunk.len() + usize::from(newline.is_some());
+        input.consume(used);
+        if ended {
+            return Ok(if too_long {
+                LineRead::TooLong
+            } else if newline.is_none() && line.is_empty() {
+                LineRead::Eof
+            } else {
+                LineRead::Line
+            });
+        }
+    }
+}
+
 /// Runs one wire-protocol session: one response line per request line.
 ///
-/// Malformed lines are answered with a `bad_request` response and the
-/// session continues; only I/O failures and shutdown end it.
+/// Malformed and over-long ([`MAX_LINE_BYTES`]) lines are answered with a
+/// `bad_request` response and the session continues; only I/O failures and
+/// shutdown end it. Each reply leaves as a single write, newline included:
+/// split in two, the second write would wait out Nagle's algorithm against
+/// the client's delayed ACK (about 40 ms per exchange on Linux).
 pub fn serve_connection<R: BufRead, W: Write>(
     handle: &Handle,
-    input: R,
+    mut input: R,
     mut output: W,
 ) -> io::Result<SessionEnd> {
-    for line in input.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let reply = match parse_request(&line) {
+    let mut line = Vec::new();
+    loop {
+        let parsed = match read_request_line(&mut input, &mut line)? {
+            LineRead::Eof => return Ok(SessionEnd::Eof),
+            LineRead::TooLong => Err(format!("line too long (limit {MAX_LINE_BYTES} bytes)")),
+            LineRead::Line => match std::str::from_utf8(&line) {
+                Err(_) => Err("request line is not valid UTF-8".to_string()),
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => parse_request(text),
+            },
+        };
+        let mut reply = match parsed {
             Err(msg) => encode_response(&Response::Error(msg)),
             Ok(WireRequest::Call { req, deadline }) => {
                 encode_response(&handle.call_with_deadline(req, deadline))
@@ -47,11 +108,10 @@ pub fn serve_connection<R: BufRead, W: Write>(
                 return Ok(SessionEnd::Shutdown);
             }
         };
+        reply.push('\n');
         output.write_all(reply.as_bytes())?;
-        output.write_all(b"\n")?;
         output.flush()?;
     }
-    Ok(SessionEnd::Eof)
 }
 
 /// Serves TCP clients on `listener` until one of them sends
@@ -72,6 +132,9 @@ pub fn serve_tcp(server: Server, listener: TcpListener) -> io::Result<()> {
             Ok(s) => s,
             Err(_) => continue,
         };
+        // Replies are single small writes; never hold one back for an ACK.
+        // Best effort: a socket that refuses the option still works.
+        let _ = stream.set_nodelay(true);
         let handle = server.handle();
         let stop = Arc::clone(&stop);
         // Detached on purpose: a lingering client cannot block shutdown —
@@ -114,12 +177,13 @@ pub fn serve_stdio(server: Server) -> io::Result<SessionEnd> {
 /// returns the single response line.
 pub fn client_call(addr: &str, line: &str) -> io::Result<String> {
     let stream = TcpStream::connect(addr)?;
-    let mut writer = stream.try_clone()?;
-    writer.write_all(line.as_bytes())?;
-    writer.write_all(b"\n")?;
-    writer.flush()?;
+    stream.set_nodelay(true)?;
+    let mut request = String::with_capacity(line.len() + 1);
+    request.push_str(line);
+    request.push('\n');
+    (&stream).write_all(request.as_bytes())?;
     let mut reply = String::new();
-    BufReader::new(stream).read_line(&mut reply)?;
+    BufReader::new(&stream).read_line(&mut reply)?;
     Ok(reply.trim_end().to_string())
 }
 
@@ -189,6 +253,81 @@ mod tests {
         assert!(lines[1].contains("bad_request"), "{}", lines[1]);
         assert!(lines[2].contains("\"op\":\"insert\""), "{}", lines[2]);
         server.shutdown();
+    }
+
+    #[test]
+    fn overlong_line_answers_wire_error_and_session_continues() {
+        let server = test_server();
+        let handle = server.handle();
+        // Both over-long lines span many `BufRead` refills; the second one
+        // is far past the bound, and the last request ends without newline.
+        let mut script = vec![b'9'; MAX_LINE_BYTES + 1];
+        script.extend_from_slice(b"\n{\"op\":\"insert\",\"set\":[1,2,3]}\n");
+        script.extend_from_slice(&vec![b'x'; 3 * MAX_LINE_BYTES]);
+        script.extend_from_slice(b"\n\xff\xfe\n{\"op\":\"stats\"}");
+        let mut out = Vec::new();
+        let end = serve_connection(&handle, script.as_slice(), &mut out).expect("io ok");
+        assert_eq!(end, SessionEnd::Eof);
+        let lines: Vec<&str> = std::str::from_utf8(&out).expect("utf8").lines().collect();
+        assert_eq!(lines.len(), 5, "{lines:?}");
+        for i in [0, 2] {
+            assert!(
+                lines[i].contains("bad_request") && lines[i].contains("line too long"),
+                "{}",
+                lines[i]
+            );
+        }
+        assert!(lines[1].contains("\"op\":\"insert\""), "{}", lines[1]);
+        assert!(lines[3].contains("not valid UTF-8"), "{}", lines[3]);
+        assert!(lines[4].contains("\"op\":\"stats\""), "{}", lines[4]);
+        server.shutdown();
+    }
+
+    #[test]
+    fn line_at_the_bound_is_still_parsed() {
+        let server = test_server();
+        let handle = server.handle();
+        // JSON whitespace pads a legal request to exactly the bound.
+        let request = "{\"op\":\"insert\",\"set\":[1,2,3]}";
+        let mut script = " ".repeat(MAX_LINE_BYTES - request.len());
+        script.push_str(request);
+        script.push('\n');
+        let mut out = Vec::new();
+        serve_connection(&handle, script.as_bytes(), &mut out).expect("io ok");
+        let reply = std::str::from_utf8(&out).expect("utf8");
+        assert!(reply.contains("\"op\":\"insert\""), "{reply}");
+        server.shutdown();
+    }
+
+    /// The benchmark's client shape: default socket options, one write per
+    /// request, one reply read before the next request. A reply split over
+    /// two writes costs this client about 40 ms per exchange (Nagle against
+    /// its delayed ACK), so 200 exchanges took 8.8 s; one write takes
+    /// milliseconds.
+    #[test]
+    fn persistent_connection_exchanges_are_not_ack_bound() {
+        let server = test_server();
+        let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral port");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let srv = std::thread::spawn(move || serve_tcp(server, listener));
+        let stream = TcpStream::connect(&addr).expect("connect");
+        let mut reader = BufReader::new(&stream);
+        let mut reply = String::new();
+        let start = std::time::Instant::now();
+        for i in 0..200u32 {
+            let request = format!("{{\"op\":\"query\",\"set\":[{i},{},{}]}}\n", i + 1, i + 2);
+            (&stream).write_all(request.as_bytes()).expect("write");
+            reply.clear();
+            reader.read_line(&mut reply).expect("read");
+            assert!(reply.contains("\"ids\":["), "{reply}");
+        }
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "200 exchanges took {elapsed:?}"
+        );
+        client_call(&addr, "{\"op\":\"shutdown\"}").expect("shutdown");
+        srv.join().expect("server thread").expect("serve_tcp io");
     }
 
     #[test]

@@ -96,6 +96,8 @@ pub const SUPPRESSIBLE_RULES: [&str; 6] = [
 /// * `route_query` — the cluster router's scatter-gather fan-out, run
 ///   once per distributed query (node internals behind `Transport::call`
 ///   are already covered by the serve roots; `call` sits in [`CALL_CUT`]).
+///   The fan-out method `Transport::call_all` is *not* cut, so
+///   `TcpTransport`'s socket path is hot and analyzed.
 pub const HOT_ROOTS: [&str; 19] = [
     "verify_pairs_into",
     "verify_pair",
