@@ -17,13 +17,9 @@ cargo xtask locklint
 
 echo "==> cargo xtask hotlint"
 cargo xtask hotlint
-cargo xtask hotlint --json > target/hotlint-trend.json
-echo "    trend record: target/hotlint-trend.json"
 
 echo "==> cargo xtask durlint"
 cargo xtask durlint
-cargo xtask durlint --json > target/durlint-trend.json
-echo "    trend record: target/durlint-trend.json"
 
 echo "==> cargo test -q"
 cargo test --workspace -q

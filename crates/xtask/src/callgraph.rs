@@ -1,16 +1,16 @@
 //! Shared name-union call-graph engine for the repo's interprocedural
-//! static-analysis passes (`locklint`, `hotlint`).
+//! static-analysis passes (`locklint`, `hotlint`, `durlint`).
 //!
-//! Both passes work the same way: masked source (see `scan.rs`) is split
-//! into function spans, each body is scanned into a pass-specific event
-//! list, and per-function facts propagate over a *name-resolved* call
-//! graph — a call to `flush` is assumed to possibly reach every workspace
-//! function named `flush`. That is deliberately conservative (no type
-//! information is available) and each pass carries a registry of method
-//! names that cut the resolution where the conservatism would drown the
-//! signal.
+//! All three work the same way (see [`crate::engine`]): masked source
+//! (see `scan.rs`) is split into function spans, each body is scanned
+//! into an event list under the pass's token table, and per-function
+//! facts propagate over a *name-resolved* call graph — a call to `flush`
+//! is assumed to possibly reach every workspace function named `flush`.
+//! That is deliberately conservative (no type information is available)
+//! and each pass's table carries method names that cut the resolution
+//! where the conservatism would drown the signal.
 //!
-//! This module owns everything the passes share:
+//! This module owns the structural pieces:
 //!
 //! * function-span discovery over masked source ([`fn_spans`]),
 //! * byte-offset → line mapping ([`line_start_offsets`], [`line_of`]),
@@ -20,9 +20,6 @@
 //!   ([`parse_annotations`]),
 //! * the name-union [`Graph`] with summary [`Graph::fixpoint`]
 //!   propagation and forward-reachability ([`Graph::reachable_from`]).
-//!
-//! The lock-specific event model, registries, and replay stay in
-//! `locklint`; the allocation rules and hot-root registry in `hotlint`.
 
 use std::collections::{BTreeMap, BTreeSet};
 

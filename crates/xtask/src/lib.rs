@@ -4,7 +4,7 @@
 
 //! Workspace automation for the ssjoin repo.
 //!
-//! Four subcommands:
+//! Seven subcommands:
 //!
 //! * `cargo xtask difftest` — deterministic differential testing of every
 //!   signature scheme against the naive oracle on seeded adversarial
@@ -13,6 +13,10 @@
 //!   store: seeded workloads, adversarial WAL/snapshot mutations, recovery
 //!   differentially compared with an in-memory oracle (see [`crashtest`]
 //!   and DESIGN.md §5e);
+//! * `cargo xtask benchdiff` — diffs fresh `join_bench`/`serve_bench`
+//!   results against the committed `BENCH_*.json` baselines: counters
+//!   exactly, timings within a tolerance factor (see [`benchdiff`] and
+//!   DESIGN.md §5g);
 //! * `cargo xtask lint` — a dependency-free, source-level static-analysis
 //!   pass enforcing the repo's invariants that rustc and clippy cannot see
 //!   (see `DESIGN.md`, "Static analysis & invariants"). Rules:
@@ -29,14 +33,17 @@
 //!
 //! Suppressions live in `crates/xtask/lint_allow.toml`.
 //!
-//! * `cargo xtask locklint` — interprocedural lock-order and
-//!   blocking-under-lock analysis over the concurrent subsystem, paired
-//!   with the runtime witness in `ssj_core::lockwitness` (see [`locklint`]
-//!   and DESIGN.md §5f). Suppressions are in-source annotations, not
-//!   allowlist entries.
-//! * `cargo xtask hotlint` — hot-path allocation/copy analysis over the
-//!   same call-graph engine, paired with the counting-allocator witness
-//!   (see [`hotlint`] and DESIGN.md §5g).
+//! The three interprocedural passes run on one engine ([`engine`]: one
+//! table-driven extractor, one driver, one report, in-source suppression
+//! annotations instead of allowlist entries) over the shared name-union
+//! call graph ([`callgraph`]):
+//!
+//! * `cargo xtask locklint` — lock-order and blocking-under-lock analysis
+//!   over the concurrent subsystem, paired with the runtime witness in
+//!   `ssj_core::lockwitness` (see [`locklint`] and DESIGN.md §5f);
+//! * `cargo xtask hotlint` — hot-path allocation/copy analysis, paired
+//!   with the counting-allocator witness (see [`hotlint`] and DESIGN.md
+//!   §5g);
 //! * `cargo xtask durlint` — crash-consistency protocol analysis (fsync
 //!   before rename, directory fsync after, ack-implies-WAL-sync, staged
 //!   tmp sweeps), paired with the runtime fs-order witness in
@@ -48,6 +55,7 @@ pub mod callgraph;
 pub mod crashtest;
 pub mod difftest;
 pub mod durlint;
+pub mod engine;
 pub mod hotlint;
 pub mod locklint;
 pub mod rules;

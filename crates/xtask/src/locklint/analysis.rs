@@ -6,12 +6,11 @@
 //! conservative — no type information is available — and is what the
 //! [`super::DATA_METHODS`] registry exists to counterbalance.
 
-use super::extract::{Event, FileExtract};
 use super::{
-    BLOCKING_UNDER_LOCK, CLASSES, GUARD_LIFETIME, LOCK_ORDER, LOCK_ORDER_CYCLE, LOCK_SITES,
-    MULTI_SHARD_ORDER,
+    BLOCKING_UNDER_LOCK, CLASSES, GUARD_LIFETIME, LOCK_ORDER, LOCK_ORDER_CYCLE, MULTI_SHARD_ORDER,
 };
-use crate::callgraph::{FnKey, Graph};
+use crate::callgraph::FnKey;
+use crate::engine::{call_graph, each_fn, Analysis, Event, FileExtract, Kind};
 use crate::Violation;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -24,13 +23,6 @@ struct Summary {
     may_block: bool,
 }
 
-/// Findings plus the class-order edge set from one analysis run.
-#[derive(Debug, Default)]
-pub struct Outcome {
-    /// Raw findings, before annotation suppression.
-    pub findings: Vec<Violation>,
-}
-
 /// A guard held during replay of a function body.
 struct Held {
     class: usize,
@@ -40,44 +32,31 @@ struct Held {
     depth: usize,
 }
 
-/// Builds the shared name-union graph from locklint's event lists.
-fn build_graph(files: &[FileExtract]) -> Graph {
-    Graph::build(files.iter().enumerate().flat_map(|(fi, file)| {
-        file.fns.iter().enumerate().map(move |(gi, f)| {
-            let callees = f
-                .events
-                .iter()
-                .filter_map(|ev| match ev {
-                    Event::Call { name, .. } => Some(name.clone()),
-                    _ => None,
-                })
-                .collect();
-            ((fi, gi), f.name.clone(), callees)
-        })
-    }))
-}
-
 /// Runs summaries + replay over all extracted files.
-pub fn analyze(files: &[FileExtract]) -> Outcome {
-    let graph = build_graph(files);
+pub fn analyze(files: &[FileExtract]) -> Analysis {
+    let graph = call_graph(files);
 
     // Seed summaries from each function's direct events, then propagate
     // may_acquire / may_block to a fixpoint over the call graph.
     let mut summaries: BTreeMap<FnKey, Summary> = BTreeMap::new();
-    for (fi, file) in files.iter().enumerate() {
-        for (gi, f) in file.fns.iter().enumerate() {
-            let mut s = Summary::default();
-            for ev in &f.events {
-                match ev {
-                    Event::Acquire { site, .. } => {
-                        s.may_acquire.insert(LOCK_SITES[*site].class);
-                    }
-                    Event::Block { .. } => s.may_block = true,
-                    _ => {}
+    for (key, _, f) in each_fn(files) {
+        let mut s = Summary::default();
+        for ev in &f.events {
+            match ev {
+                Event::Token {
+                    kind: Kind::Acquire { class, .. },
+                    ..
+                } => {
+                    s.may_acquire.insert(*class);
                 }
+                Event::Token {
+                    kind: Kind::Block(_),
+                    ..
+                } => s.may_block = true,
+                _ => {}
             }
-            summaries.insert((fi, gi), s);
         }
+        summaries.insert(key, s);
     }
     graph.fixpoint(&mut summaries, |s, t| {
         s.may_block |= t.may_block;
@@ -94,21 +73,17 @@ pub fn analyze(files: &[FileExtract]) -> Outcome {
             let mut held: Vec<Held> = Vec::new();
             for ev in &f.events {
                 match ev {
-                    Event::Acquire {
+                    Event::Token {
+                        kind: Kind::Acquire { class, mode },
                         site,
-                        binding,
-                        iterated,
-                        stored,
-                        depth,
-                        line,
+                        ..
                     } => {
-                        let class = LOCK_SITES[*site].class;
-                        let mode = LOCK_SITES[*site].mode;
-                        if *stored {
+                        let (class, line) = (*class, site.line);
+                        if site.stored {
                             findings.push(Violation {
                                 rule: GUARD_LIFETIME,
                                 path: file.path.clone(),
-                                line: *line,
+                                line,
                                 message: format!(
                                     "`{}` {} guard in `{}` is stored into an \
                                      Option/collection — guard lifetime escapes its \
@@ -118,11 +93,11 @@ pub fn analyze(files: &[FileExtract]) -> Outcome {
                                 ),
                             });
                         }
-                        if *iterated && CLASSES[class].multi_instance {
+                        if (site.in_loop || site.after_adapter) && CLASSES[class].multi_instance {
                             findings.push(Violation {
                                 rule: MULTI_SHARD_ORDER,
                                 path: file.path.clone(),
-                                line: *line,
+                                line,
                                 message: format!(
                                     "iterated acquisition of multi-instance class \
                                      `{}` in `{}` — ascending-instance order is not \
@@ -137,7 +112,7 @@ pub fn analyze(files: &[FileExtract]) -> Outcome {
                             &held,
                             class,
                             &file.path,
-                            *line,
+                            line,
                             &f.name,
                             "acquires",
                             &mut findings,
@@ -145,9 +120,9 @@ pub fn analyze(files: &[FileExtract]) -> Outcome {
                         );
                         held.push(Held {
                             class,
-                            binding: binding.clone(),
-                            transient: binding.is_none() && !stored,
-                            depth: *depth,
+                            binding: site.binding.clone(),
+                            transient: site.binding.is_none() && !site.stored,
+                            depth: site.depth,
                         });
                     }
                     Event::Release { binding } => {
@@ -199,12 +174,16 @@ pub fn analyze(files: &[FileExtract]) -> Outcome {
                             );
                         }
                     }
-                    Event::Block { desc, line } => {
+                    Event::Token {
+                        kind: Kind::Block(desc),
+                        site,
+                        ..
+                    } => {
                         if !held.is_empty() {
                             findings.push(Violation {
                                 rule: BLOCKING_UNDER_LOCK,
                                 path: file.path.clone(),
-                                line: *line,
+                                line: site.line,
                                 message: format!(
                                     "`{}` performs a blocking operation ({}) while \
                                      holding {}",
@@ -215,6 +194,7 @@ pub fn analyze(files: &[FileExtract]) -> Outcome {
                             });
                         }
                     }
+                    Event::Token { .. } => {}
                 }
             }
         }
@@ -226,7 +206,10 @@ pub fn analyze(files: &[FileExtract]) -> Outcome {
     // adds the whole-workspace picture of the deadlock loop.
     findings.extend(find_cycles(&edges));
 
-    Outcome { findings }
+    Analysis {
+        findings,
+        counter: 0,
+    }
 }
 
 fn held_names(held: &[Held]) -> String {

@@ -9,14 +9,14 @@
 //! the same signature→verify split the paper applies to joins: a cheap
 //! conservative filter whose candidates an exact mechanism confirms.
 //!
-//! The pass extends the `xtask lint` scanner (`scan.rs`): sources are
-//! masked (comments/strings/test regions blanked, line-preserving), then
-//! parsed into per-function event lists — lock acquisitions matched
-//! against a small registry of lock-site patterns, blocking operations,
-//! calls, guard drops, scope ends. Per-function summaries (which lock
-//! classes a function may acquire, whether it may block) propagate over a
-//! name-resolved call graph to a fixpoint, and a replay of each
-//! function's events against those summaries reports:
+//! The shared engine ([`crate::engine`]) extracts per-function event
+//! lists under this pass's table — lock acquisitions matched against the
+//! lock-site registry ([`LOCK_SITES`]), blocking operations
+//! ([`BLOCKING`]), calls, `drop(guard)` releases, statement and scope
+//! ends. Per-function summaries (which lock classes a function may
+//! acquire, whether it may block) propagate over the name-union call
+//! graph to a fixpoint, and a replay of each function's events against
+//! those summaries ([`analysis`]) reports:
 //!
 //! | id                    | finding |
 //! |-----------------------|---------|
@@ -28,24 +28,13 @@
 //! | `locklint-annotation` | malformed suppression annotation (unknown rule or empty justification) |
 //! | `locklint-scope`      | any annotation inside `crates/core` (zero-allowlist policy, as for `xtask lint`) |
 //!
-//! Deliberate violations are suppressed in-source, next to the code they
-//! justify (no central allowlist file — the justification must live at
-//! the site):
-//!
-//! ```text
-//! // locklint: allow(blocking-under-lock): reason…          (this + next line)
-//! // locklint: allow(blocking-under-lock, fn): reason…      (whole enclosing fn)
-//! ```
-//!
-//! Every annotation must carry a non-empty reason, and `crates/core` may
-//! carry none at all.
+//! Deliberate violations carry the engine's in-source annotation
+//! (`// locklint: allow(blocking-under-lock[, fn]): reason…`), and
+//! `crates/core` may carry none at all.
 
 pub mod analysis;
-pub mod extract;
 
-use crate::{rel, rs_files, LintError, Violation};
-use std::fmt::Write as _;
-use std::path::Path;
+use crate::engine::{Kind, Pass, Table};
 
 /// Rule id: rank-order violation or non-reentrant re-acquisition.
 pub const LOCK_ORDER: &str = "lock-order";
@@ -101,72 +90,38 @@ pub const CLASSES: [LockClassDef; 2] = [
 const SHARD_INDEX: usize = 0;
 const STORE_WAL: usize = 1;
 
-/// How a lock-site pattern is matched in masked source.
-#[derive(Debug, Clone, Copy)]
-pub enum SiteKind {
-    /// A field-qualified method chain like `.index.read(`, matched at the
-    /// leading dot.
-    Chain(&'static str),
-    /// A guard-returning helper function, matched as a call by name
-    /// (`lock_all_read(…)`). The helper's own body is the audited,
-    /// annotated acquisition; call sites inherit the acquire.
-    Helper(&'static str),
-}
-
-/// One entry in the lock-site registry.
-#[derive(Debug, Clone, Copy)]
-pub struct LockSite {
-    /// Textual pattern.
-    pub kind: SiteKind,
-    /// Index into [`CLASSES`].
-    pub class: usize,
-    /// Acquisition mode, for messages (`read` / `write` / `lock`).
-    pub mode: &'static str,
-}
-
 /// The lock-site registry: how each named lock is acquired in source.
-pub const LOCK_SITES: [LockSite; 5] = [
-    LockSite {
-        kind: SiteKind::Chain(".index.read("),
-        class: SHARD_INDEX,
-        mode: "read",
-    },
-    LockSite {
-        kind: SiteKind::Chain(".index.write("),
-        class: SHARD_INDEX,
-        mode: "write",
-    },
-    LockSite {
-        kind: SiteKind::Chain(".wal.lock("),
-        class: STORE_WAL,
-        mode: "lock",
-    },
-    LockSite {
-        kind: SiteKind::Helper("lock_all_read"),
-        class: SHARD_INDEX,
-        mode: "read",
-    },
-    LockSite {
-        kind: SiteKind::Helper("lock_owner_write"),
-        class: SHARD_INDEX,
-        mode: "write",
-    },
+/// Field-qualified method chains match at the dot; the canonical
+/// guard-returning helpers match as calls by name — the helper's own body
+/// is the audited, annotated acquisition, and call sites inherit it.
+pub const LOCK_SITES: &[(&str, Kind)] = &[
+    (".index.read(", acquire(SHARD_INDEX, "read")),
+    (".index.write(", acquire(SHARD_INDEX, "write")),
+    (".wal.lock(", acquire(STORE_WAL, "lock")),
+    ("lock_all_read", acquire(SHARD_INDEX, "read")),
+    ("lock_owner_write", acquire(SHARD_INDEX, "write")),
 ];
 
-/// Dotted blocking-operation tokens (`pattern`, human description).
-pub const BLOCKING_CHAINS: [(&str, &str); 8] = [
-    (".sync_data(", "fsync"),
-    (".sync_all(", "fsync"),
-    (".write_all(", "file/socket write"),
-    (".set_len(", "file truncation"),
-    (".accept(", "socket accept"),
-    (".recv(", "blocking channel receive"),
-    (".recv_timeout(", "blocking channel receive"),
-    (".send(", "bounded channel send (blocks when full)"),
-];
+const fn acquire(class: usize, mode: &'static str) -> Kind {
+    Kind::Acquire { class, mode }
+}
 
-/// Blocking operations matched as bare call names.
-pub const BLOCKING_CALLS: [(&str, &str); 1] = [("sleep", "thread::sleep")];
+/// Blocking operations: method chains, then bare calls (shared with
+/// hotlint's `hot-blocking`).
+pub const BLOCKING: &[(&str, Kind)] = &[
+    (".sync_data(", Kind::Block("fsync")),
+    (".sync_all(", Kind::Block("fsync")),
+    (".write_all(", Kind::Block("file/socket write")),
+    (".set_len(", Kind::Block("file truncation")),
+    (".accept(", Kind::Block("socket accept")),
+    (".recv(", Kind::Block("blocking channel receive")),
+    (".recv_timeout(", Kind::Block("blocking channel receive")),
+    (
+        ".send(",
+        Kind::Block("bounded channel send (blocks when full)"),
+    ),
+    ("sleep", Kind::Block("thread::sleep")),
+];
 
 /// Methods of the guarded per-shard data (`JaccardIndex`) and other pure
 /// container operations. A dotted call to one of these is a data
@@ -174,7 +129,7 @@ pub const BLOCKING_CALLS: [(&str, &str); 1] = [("sleep", "thread::sleep")];
 /// without this cut, the conservative name-union call resolver would map
 /// e.g. `guard.insert(…)` onto `ShardedIndex::insert` (which acquires the
 /// very lock being held) and report a false self-deadlock.
-pub const DATA_METHODS: [&str; 9] = [
+pub const DATA_METHODS: &[&str] = &[
     "insert",
     "remove",
     "try_remove",
@@ -186,219 +141,26 @@ pub const DATA_METHODS: [&str; 9] = [
     "push",
 ];
 
-/// Source directories the pass analyzes: the concurrent subsystem and
-/// everything it calls into. (`xtask` itself and the offline `compat/`
-/// shims are out of scope; the `std-sync-lock` lint rule separately
-/// guarantees no other crate grows unregistered `std::sync` locks.)
-pub const SCAN_DIRS: [&str; 6] = [
-    "crates/core/src",
-    "crates/io/src",
-    "crates/store/src",
-    "crates/server/src",
-    "crates/extern/src",
-    "crates/cluster/src",
-];
-
-/// A finding that an in-source annotation suppressed, kept for reporting
-/// (`--json`) so suppressions stay auditable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SuppressedFinding {
-    /// Rule the annotation suppressed.
-    pub rule: &'static str,
-    /// Repo-relative path.
-    pub path: String,
-    /// 1-based line of the suppressed finding.
-    pub line: usize,
-    /// The annotation's written justification.
-    pub reason: String,
-    /// What the finding said.
-    pub message: String,
-}
-
-/// Everything one `locklint` run produced.
-#[derive(Debug, Default)]
-pub struct LocklintReport {
-    /// Surviving (un-suppressed) findings, sorted by path/line/rule.
-    pub findings: Vec<Violation>,
-    /// Findings a written annotation suppressed.
-    pub suppressed: Vec<SuppressedFinding>,
-    /// Files analyzed.
-    pub files: usize,
-    /// Functions summarized.
-    pub functions: usize,
-}
-
-impl LocklintReport {
-    /// Machine-readable report (for trend tracking next to
-    /// `BENCH_serve.json`): findings, suppressions, and scan size.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"findings\":[");
-        for (i, v) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"rule\":{},\"path\":{},\"line\":{},\"message\":{}}}",
-                json_str(v.rule),
-                json_str(&v.path),
-                v.line,
-                json_str(&v.message)
-            );
-        }
-        out.push_str("],\"suppressed\":[");
-        for (i, s) in self.suppressed.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"rule\":{},\"path\":{},\"line\":{},\"reason\":{},\"message\":{}}}",
-                json_str(s.rule),
-                json_str(&s.path),
-                s.line,
-                json_str(&s.reason),
-                json_str(&s.message)
-            );
-        }
-        let _ = write!(
-            out,
-            "],\"files\":{},\"functions\":{}}}",
-            self.files, self.functions
-        );
-        out
-    }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Runs the whole pass over the workspace at `root`.
-pub fn run_locklint(root: &Path) -> Result<LocklintReport, LintError> {
-    let mut files = Vec::new();
-    for dir in SCAN_DIRS {
-        let abs = root.join(dir);
-        if !abs.is_dir() {
-            continue;
-        }
-        for file in rs_files(&abs)? {
-            let relpath = rel(root, &file);
-            let raw = crate::read(&file)?;
-            files.push(extract::extract_file(&relpath, &raw));
-        }
-    }
-
-    let mut findings = Vec::new();
-
-    // Annotation hygiene: well-formed, justified, and never in core.
-    for file in &files {
-        for ann in &file.annotations {
-            if file.path.starts_with("crates/core/") {
-                findings.push(Violation {
-                    rule: SCOPE_RULE,
-                    path: file.path.clone(),
-                    line: ann.line,
-                    message: format!(
-                        "locklint annotation in ssj-core (suppresses `{}`); core must \
-                         satisfy every rule outright — fix the code or move the \
-                         locking out of core",
-                        ann.rule
-                    ),
-                });
-            }
-            if !SUPPRESSIBLE_RULES.contains(&ann.rule.as_str()) {
-                findings.push(Violation {
-                    rule: ANNOTATION_RULE,
-                    path: file.path.clone(),
-                    line: ann.line,
-                    message: format!(
-                        "annotation names unknown rule `{}` (expected one of: {})",
-                        ann.rule,
-                        SUPPRESSIBLE_RULES.join(", ")
-                    ),
-                });
-            }
-            if ann.reason.is_empty() {
-                findings.push(Violation {
-                    rule: ANNOTATION_RULE,
-                    path: file.path.clone(),
-                    line: ann.line,
-                    message: "annotation has no written justification after `):` — \
-                              suppressions are documentation, not magic"
-                        .to_string(),
-                });
-            }
-        }
-    }
-
-    let outcome = analysis::analyze(&files);
-    let functions = files.iter().map(|f| f.fns.len()).sum();
-
-    // Partition analysis findings into suppressed vs surviving.
-    let mut suppressed = Vec::new();
-    for finding in outcome.findings {
-        match suppressing_annotation(&files, &finding) {
-            Some(reason) => suppressed.push(SuppressedFinding {
-                rule: finding.rule,
-                path: finding.path,
-                line: finding.line,
-                reason,
-                message: finding.message,
-            }),
-            None => findings.push(finding),
-        }
-    }
-
-    findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    findings.dedup();
-    suppressed.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    suppressed.dedup();
-
-    Ok(LocklintReport {
-        findings,
-        suppressed,
-        files: files.len(),
-        functions,
-    })
-}
-
-/// The justification of the annotation that suppresses `finding`, if any.
-///
-/// A line-level annotation covers its own line and the next; an fn-level
-/// annotation covers every line of the function whose body contains it.
-fn suppressing_annotation(files: &[extract::FileExtract], finding: &Violation) -> Option<String> {
-    let file = files.iter().find(|f| f.path == finding.path)?;
-    for ann in &file.annotations {
-        if ann.rule != finding.rule || ann.reason.is_empty() {
-            continue;
-        }
-        let covered = if ann.fn_level {
-            file.fns
-                .iter()
-                .any(|f| f.contains_line(ann.line) && f.contains_line(finding.line))
-        } else {
-            finding.line == ann.line || finding.line == ann.line + 1
-        };
-        if covered {
-            return Some(ann.reason.clone());
-        }
-    }
-    None
-}
+/// The locklint pass.
+pub static PASS: Pass = Pass {
+    tool: "locklint",
+    rules: &SUPPRESSIBLE_RULES,
+    annotation_rule: ANNOTATION_RULE,
+    core_ban: Some((
+        SCOPE_RULE,
+        "core must satisfy every rule outright — fix the code or move the locking out of core",
+    )),
+    table: Table {
+        tokens: &[LOCK_SITES, BLOCKING],
+        ctors: &[],
+        macros: &[],
+        words: &[],
+        paths: &[],
+        call_cut: &[DATA_METHODS],
+        releases: true,
+        cut_ctor_names: false,
+        tmp_markers: &[],
+    },
+    analyze: analysis::analyze,
+    counter: None,
+};

@@ -8,6 +8,7 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+use xtask::engine::{run_pass, Pass};
 
 const USAGE: &str = "\
 usage: cargo xtask <command>
@@ -68,9 +69,9 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(&args[1..]),
-        Some("locklint") => locklint(&args[1..]),
-        Some("hotlint") => hotlint(&args[1..]),
-        Some("durlint") => durlint(&args[1..]),
+        Some("locklint") => lint_pass(&xtask::locklint::PASS, &args[1..]),
+        Some("hotlint") => lint_pass(&xtask::hotlint::PASS, &args[1..]),
+        Some("durlint") => lint_pass(&xtask::durlint::PASS, &args[1..]),
         Some("benchdiff") => benchdiff(&args[1..]),
         Some("difftest") => difftest(&args[1..]),
         Some("crashtest") => crashtest(&args[1..]),
@@ -235,7 +236,8 @@ fn lint(args: &[String]) -> ExitCode {
     }
 }
 
-fn locklint(args: &[String]) -> ExitCode {
+/// `locklint` / `hotlint` / `durlint`: `[--root <dir>] [--json]`.
+fn lint_pass(pass: &'static Pass, args: &[String]) -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut json = false;
     let mut it = args.iter();
@@ -250,7 +252,7 @@ fn locklint(args: &[String]) -> ExitCode {
             },
             "--json" => json = true,
             other => {
-                eprintln!("error: unknown locklint option `{other}`\n\n{USAGE}");
+                eprintln!("error: unknown {} option `{other}`\n\n{USAGE}", pass.tool);
                 return ExitCode::from(2);
             }
         }
@@ -260,134 +262,12 @@ fn locklint(args: &[String]) -> ExitCode {
         Ok(r) => r,
         Err(code) => return code,
     };
-    match xtask::locklint::run_locklint(&root) {
+    match run_pass(&root, pass) {
         Ok(report) => {
             if json {
                 println!("{}", report.to_json());
             } else {
-                for v in &report.findings {
-                    println!("{v}");
-                }
-                println!(
-                    "xtask locklint: {} finding(s), {} suppressed by annotation \
-                     ({} file(s), {} function(s))",
-                    report.findings.len(),
-                    report.suppressed.len(),
-                    report.files,
-                    report.functions
-                );
-            }
-            if report.findings.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
-        }
-        Err(err) => {
-            eprintln!("error: {err}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn hotlint(args: &[String]) -> ExitCode {
-    let mut root: Option<PathBuf> = None;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => match it.next() {
-                Some(dir) => root = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("error: --root needs a directory argument");
-                    return ExitCode::from(2);
-                }
-            },
-            "--json" => json = true,
-            other => {
-                eprintln!("error: unknown hotlint option `{other}`\n\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    let root = match resolve_root(root) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    match xtask::hotlint::run_hotlint(&root) {
-        Ok(report) => {
-            if json {
-                println!("{}", report.to_json());
-            } else {
-                for v in &report.findings {
-                    println!("{v}");
-                }
-                println!(
-                    "xtask hotlint: {} finding(s), {} suppressed by annotation \
-                     ({} file(s), {} function(s), {} hot)",
-                    report.findings.len(),
-                    report.suppressed.len(),
-                    report.files,
-                    report.functions,
-                    report.hot_functions
-                );
-            }
-            if report.findings.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
-        }
-        Err(err) => {
-            eprintln!("error: {err}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn durlint(args: &[String]) -> ExitCode {
-    let mut root: Option<PathBuf> = None;
-    let mut json = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => match it.next() {
-                Some(dir) => root = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("error: --root needs a directory argument");
-                    return ExitCode::from(2);
-                }
-            },
-            "--json" => json = true,
-            other => {
-                eprintln!("error: unknown durlint option `{other}`\n\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    let root = match resolve_root(root) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    match xtask::durlint::run_durlint(&root) {
-        Ok(report) => {
-            if json {
-                println!("{}", report.to_json());
-            } else {
-                for v in &report.findings {
-                    println!("{v}");
-                }
-                println!(
-                    "xtask durlint: {} finding(s), {} suppressed by annotation \
-                     ({} file(s), {} function(s), {} rename site(s))",
-                    report.findings.len(),
-                    report.suppressed.len(),
-                    report.files,
-                    report.functions,
-                    report.rename_sites
-                );
+                print!("{report}");
             }
             if report.findings.is_empty() {
                 ExitCode::SUCCESS

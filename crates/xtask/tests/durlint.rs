@@ -4,38 +4,16 @@
 //! paths pass their own crash-consistency analysis with every suppression
 //! justified in writing).
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
+mod common;
 
-use xtask::durlint::{self, DurlintReport};
+use std::path::Path;
 
-fn fixture(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("fixtures")
-        .join(name)
-}
+use common::{assert_suppression_budget, fixture, pass_exit, repo_root};
+use xtask::durlint;
+use xtask::engine::{run_pass, Report};
 
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/xtask has a workspace two levels up")
-        .to_path_buf()
-}
-
-fn run(root: &Path) -> DurlintReport {
-    durlint::run_durlint(root).expect("engine runs")
-}
-
-fn durlint_exit(root: &Path, json: bool) -> (i32, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_xtask"));
-    cmd.args(["durlint", "--root"]).arg(root);
-    if json {
-        cmd.arg("--json");
-    }
-    let out = cmd.output().expect("xtask binary runs");
-    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    (out.status.code().unwrap_or(-1), stdout)
+fn run(root: &Path) -> Report {
+    run_pass(root, &durlint::PASS).expect("engine runs")
 }
 
 #[test]
@@ -125,7 +103,7 @@ fn durclean_fixture_is_clean_with_audited_suppressions() {
 
 #[test]
 fn durbad_exits_one_and_durclean_exits_zero() {
-    let (code, stdout) = durlint_exit(&fixture("durbad"), false);
+    let (code, stdout) = pass_exit("durlint", &fixture("durbad"), false);
     assert_eq!(code, 1, "stdout:\n{stdout}");
     for rule in [
         "rename-no-fsync",
@@ -139,17 +117,17 @@ fn durbad_exits_one_and_durclean_exits_zero() {
         assert!(stdout.contains(rule), "missing {rule} in:\n{stdout}");
     }
 
-    let (code, stdout) = durlint_exit(&fixture("durclean"), false);
+    let (code, stdout) = pass_exit("durlint", &fixture("durclean"), false);
     assert_eq!(code, 0, "stdout:\n{stdout}");
     assert!(stdout.contains("0 finding(s)"), "{stdout}");
 }
 
 #[test]
 fn json_report_is_well_formed() {
-    let (code, stdout) = durlint_exit(&fixture("durclean"), true);
+    let (code, stdout) = pass_exit("durlint", &fixture("durclean"), true);
     assert_eq!(code, 0, "stdout:\n{stdout}");
-    // No JSON parser in-tree; assert the structural invariants the trend
-    // tooling relies on.
+    // No JSON parser in-tree; assert the structural invariants of the
+    // auditable report.
     let line = stdout.trim();
     assert!(line.starts_with("{\"findings\":["), "{line}");
     assert!(line.ends_with('}'), "{line}");
@@ -159,7 +137,7 @@ fn json_report_is_well_formed() {
     assert!(line.contains("\"rename_sites\":"));
     assert!(line.contains("\"reason\":"));
 
-    let (code, stdout) = durlint_exit(&fixture("durbad"), true);
+    let (code, stdout) = pass_exit("durlint", &fixture("durbad"), true);
     assert_eq!(code, 1, "stdout:\n{stdout}");
     assert!(stdout.contains("\"rule\":\"rename-no-fsync\""), "{stdout}");
 }
@@ -176,21 +154,18 @@ fn workspace_is_dur_clean() {
     );
     assert!(report.functions > 100, "scan looks too small to be real");
     assert!(
-        report.rename_sites >= 2,
+        report.counter >= 2,
         "the canonical atomic helper and the segment seal both rename: {}",
-        report.rename_sites
+        report.counter
     );
 }
 
 #[test]
 fn workspace_suppressions_are_audited() {
     let report = run(&repo_root());
-    // Every suppression carries a written justification…
-    assert!(
-        report.suppressed.iter().all(|s| !s.reason.is_empty()),
-        "{:#?}",
-        report.suppressed
-    );
+    // Every suppression carries a written justification within the pinned
+    // budget…
+    assert_suppression_budget(&report, 2);
     // …and the deliberate sites stay visible, not silently absent: the
     // segment seal stage and the spill partitions, both swept by the
     // store-side recovery rather than by ssj-extern itself.
@@ -200,14 +175,6 @@ fn workspace_suppressions_are_audited() {
             .iter()
             .any(|s| s.path.starts_with("crates/extern/") && s.rule == durlint::TMP_NO_SWEEP),
         "expected the audited extern staging suppressions:\n{:#?}",
-        report.suppressed
-    );
-    // The suppression budget is pinned: growing it means adding a new
-    // justified annotation *and* consciously bumping this bound.
-    assert!(
-        report.suppressed.len() <= 12,
-        "suppression count grew to {} — audit the new annotations:\n{:#?}",
-        report.suppressed.len(),
         report.suppressed
     );
 }

@@ -4,38 +4,16 @@
 //! pass their own allocation analysis with every suppression justified in
 //! writing).
 
-use std::path::{Path, PathBuf};
-use std::process::Command;
+mod common;
 
-use xtask::hotlint::{self, HotlintReport};
+use std::path::Path;
 
-fn fixture(name: &str) -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("fixtures")
-        .join(name)
-}
+use common::{assert_suppression_budget, fixture, pass_exit, repo_root};
+use xtask::engine::{run_pass, Report};
+use xtask::hotlint;
 
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/xtask has a workspace two levels up")
-        .to_path_buf()
-}
-
-fn run(root: &Path) -> HotlintReport {
-    hotlint::run_hotlint(root).expect("engine runs")
-}
-
-fn hotlint_exit(root: &Path, json: bool) -> (i32, String) {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_xtask"));
-    cmd.args(["hotlint", "--root"]).arg(root);
-    if json {
-        cmd.arg("--json");
-    }
-    let out = cmd.output().expect("xtask binary runs");
-    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    (out.status.code().unwrap_or(-1), stdout)
+fn run(root: &Path) -> Report {
+    run_pass(root, &hotlint::PASS).expect("engine runs")
 }
 
 #[test]
@@ -112,7 +90,7 @@ fn hotclean_fixture_is_clean_with_audited_suppressions() {
 
 #[test]
 fn hotbad_exits_one_and_hotclean_exits_zero() {
-    let (code, stdout) = hotlint_exit(&fixture("hotbad"), false);
+    let (code, stdout) = pass_exit("hotlint", &fixture("hotbad"), false);
     assert_eq!(code, 1, "stdout:\n{stdout}");
     for rule in [
         "hot-alloc",
@@ -126,17 +104,17 @@ fn hotbad_exits_one_and_hotclean_exits_zero() {
         assert!(stdout.contains(rule), "missing {rule} in:\n{stdout}");
     }
 
-    let (code, stdout) = hotlint_exit(&fixture("hotclean"), false);
+    let (code, stdout) = pass_exit("hotlint", &fixture("hotclean"), false);
     assert_eq!(code, 0, "stdout:\n{stdout}");
     assert!(stdout.contains("0 finding(s)"), "{stdout}");
 }
 
 #[test]
 fn json_report_is_well_formed() {
-    let (code, stdout) = hotlint_exit(&fixture("hotclean"), true);
+    let (code, stdout) = pass_exit("hotlint", &fixture("hotclean"), true);
     assert_eq!(code, 0, "stdout:\n{stdout}");
-    // No JSON parser in-tree; assert the structural invariants the trend
-    // tooling relies on.
+    // No JSON parser in-tree; assert the structural invariants of the
+    // auditable report.
     let line = stdout.trim();
     assert!(line.starts_with("{\"findings\":["), "{line}");
     assert!(line.ends_with('}'), "{line}");
@@ -146,7 +124,7 @@ fn json_report_is_well_formed() {
     assert!(line.contains("\"hot_functions\":"));
     assert!(line.contains("\"reason\":"));
 
-    let (code, stdout) = hotlint_exit(&fixture("hotbad"), true);
+    let (code, stdout) = pass_exit("hotlint", &fixture("hotbad"), true);
     assert_eq!(code, 1, "stdout:\n{stdout}");
     assert!(stdout.contains("\"rule\":\"hot-alloc\""), "{stdout}");
 }
@@ -163,21 +141,18 @@ fn workspace_is_hot_clean() {
     );
     assert!(report.functions > 100, "scan looks too small to be real");
     assert!(
-        report.hot_functions > 20,
+        report.counter > 20,
         "hot propagation looks too small to be real: {}",
-        report.hot_functions
+        report.counter
     );
 }
 
 #[test]
 fn workspace_suppressions_are_audited() {
     let report = run(&repo_root());
-    // Every suppression carries a written justification…
-    assert!(
-        report.suppressed.iter().all(|s| !s.reason.is_empty()),
-        "{:#?}",
-        report.suppressed
-    );
+    // Every suppression carries a written justification within the pinned
+    // budget…
+    assert_suppression_budget(&report, 11);
     // …and the deliberate sites stay visible, not silently absent: the
     // convenience wrappers around the scratch-threaded entry points and
     // the in-memory `impl Write` varint sink.
@@ -195,14 +170,6 @@ fn workspace_suppressions_are_audited() {
             .iter()
             .any(|s| s.path.starts_with("crates/io/") && s.rule == hotlint::HOT_BLOCKING),
         "expected the audited varint `impl Write` suppression:\n{:#?}",
-        report.suppressed
-    );
-    // The suppression budget is pinned: growing it means adding a new
-    // justified annotation *and* consciously bumping this bound.
-    assert!(
-        report.suppressed.len() <= 12,
-        "suppression count grew to {} — audit the new annotations:\n{:#?}",
-        report.suppressed.len(),
         report.suppressed
     );
 }
