@@ -39,14 +39,6 @@ cargo test -q --release -p ssj-serve --test alloc_witness
 cargo test -q --release -p ssj-extern --test alloc_witness
 cargo test -q --release -p ssj-cluster --test alloc_witness
 
-echo "==> perf baselines (quick benches + benchdiff)"
-cargo build --release -q -p ssj-bench --bin join_bench --bin serve_bench
-rm -f target/bench-current-join.json target/bench-current-serve.json
-./target/release/join_bench --quick --bench-out target/bench-current-join.json
-./target/release/serve_bench --quick --bench-out target/bench-current-serve.json
-./target/release/serve_bench --quick --cluster 3 --bench-out target/bench-current-serve.json
-cargo xtask benchdiff --join target/bench-current-join.json --serve target/bench-current-serve.json
-
 echo "==> engine benchmark (builds, contract tests, every workload's output checks; timing advisory)"
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test --offline --manifest-path benchmark/Cargo.toml

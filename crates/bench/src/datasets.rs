@@ -1,6 +1,7 @@
 //! Dataset construction for the experiments, at the sizes the harness asks
 //! for. All deterministic in the scale and seed.
 
+use ssj_core::predicate::Predicate;
 use ssj_core::set::{SetCollection, WeightMap};
 use ssj_datagen::{
     generate_addresses, generate_dblp, generate_uniform, AddressConfig, DblpConfig, UniformConfig,
@@ -78,9 +79,12 @@ pub fn uniform_sets(n: usize, planted_similarity: f64) -> SetCollection {
 }
 
 /// Hamming threshold equivalent to jaccard `gamma` on equi-sized sets of
-/// `size` elements: `k = ⌊2·size·(1−γ)/(1+γ)⌋` (Section 5's special case).
+/// `size` elements: `k = ⌊2·size·(1−γ)/(1+γ)⌋` (Section 5's special case),
+/// floored with the same float tolerance as the core's bounds.
 pub fn equisize_hamming_threshold(size: usize, gamma: f64) -> usize {
-    (2.0 * size as f64 * (1.0 - gamma) / (1.0 + gamma)).floor() as usize
+    Predicate::Jaccard { gamma }
+        .hamming_bound(size, size)
+        .expect("jaccard admits a hamming bound")
 }
 
 #[cfg(test)]
@@ -108,6 +112,10 @@ mod tests {
         assert_eq!(equisize_hamming_threshold(50, 0.8), 11);
         // γ=0.9: 100·0.1/1.9 = 5.26 → 5.
         assert_eq!(equisize_hamming_threshold(50, 0.9), 5);
+        // Exact integers that a raw float floor lands just below.
+        assert_eq!(equisize_hamming_threshold(9, 0.8), 2);
+        assert_eq!(equisize_hamming_threshold(18, 0.8), 4);
+        assert_eq!(equisize_hamming_threshold(13, 0.3), 14);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! ```
 //!
 //! to print all tables and write machine-readable records to
-//! `target/experiments/*.json`. Criterion micro-benchmarks (one per
-//! experiment family) live under `benches/`.
+//! `target/experiments/*.json`. Performance is measured by the separate
+//! engine benchmark under `benchmark/`; `tests/pinned_counts.rs` pins the
+//! seed-deterministic join counters of a small address self-join.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -20,6 +21,5 @@ pub mod experiments;
 pub mod harness;
 pub mod json;
 pub mod report;
-pub mod serving;
 
 pub use harness::{JaccardAlgo, RunRecord, Scale};

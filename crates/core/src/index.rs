@@ -331,30 +331,6 @@ impl<S: SignatureScheme> SimilarityIndex<S> {
         probed
     }
 
-    /// Verified lookup, ranked: matches sorted by a caller-supplied score
-    /// (descending), truncated to `k`. Only sets satisfying the index
-    /// predicate participate — a threshold index cannot see below its
-    /// threshold (rank within the γ-neighborhood, per Section 9's
-    /// proximity-search framing).
-    pub fn query_top_k(
-        &self,
-        query: &[ElementId],
-        k: usize,
-        score: impl Fn(&[ElementId], &[ElementId]) -> f64,
-    ) -> Vec<(SetId, f64)> {
-        let mut sorted: Vec<ElementId> = query.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        let mut scored: Vec<(SetId, f64)> = self
-            .query(&sorted)
-            .into_iter()
-            .map(|id| (id, score(&sorted, self.sets.set(id))))
-            .collect();
-        scored.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        scored.truncate(k);
-        scored
-    }
-
     /// Queries, then inserts — the streaming-deduplication primitive:
     /// returns the ids of existing near-duplicates and the new set's id.
     pub fn query_insert(&mut self, elems: Vec<ElementId>) -> (Vec<SetId>, SetId) {
@@ -1046,23 +1022,6 @@ mod tests {
         }
         assert_eq!(boxed.buckets(), 8);
         assert_eq!(p.seed(), 42);
-    }
-
-    #[test]
-    fn top_k_ranks_by_score() {
-        let mut idx = index(0.5);
-        let a = idx.insert((0..10).collect()); // Js 1.0 vs the query below
-        let b = idx.insert((0..9).chain([100]).collect()); // Js 9/11
-        let c = idx.insert((0..6).chain([200, 201, 202, 203]).collect()); // Js 6/14
-        let query: Vec<u32> = (0..10).collect();
-        let top = idx.query_top_k(&query, 2, crate::similarity::jaccard);
-        assert_eq!(top.len(), 2);
-        assert_eq!(top[0].0, a);
-        assert!((top[0].1 - 1.0).abs() < 1e-12);
-        assert_eq!(top[1].0, b);
-        // c is below the 0.5 threshold? Js = 6/14 ≈ 0.43 < 0.5: invisible.
-        let all = idx.query_top_k(&query, 10, crate::similarity::jaccard);
-        assert!(all.iter().all(|&(id, _)| id != c));
     }
 
     #[test]

@@ -66,7 +66,6 @@ pub mod replicated;
 pub mod set;
 pub mod signature;
 pub mod similarity;
-pub mod sketch;
 pub mod stats;
 pub mod verify;
 pub mod wtenum;
@@ -82,7 +81,6 @@ pub use predicate::Predicate;
 pub use replicated::ReplicatedPartEnumJaccard;
 pub use set::{ElementId, SetCollection, SetId, WeightMap};
 pub use signature::{Signature, SignatureScheme};
-pub use sketch::F2Sketch;
 pub use stats::JoinStats;
 pub use verify::{BitmapIndex, BitmapVerifier, ExactVerifier, Verifier};
 pub use wtenum::{WtEnum, WtEnumJaccard};

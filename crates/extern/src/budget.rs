@@ -4,9 +4,10 @@
 //! long-lived buffer (decoded block, spill batches, partition posting
 //! map, verification block cache) is *charged* against a ledger with a
 //! size computed deterministically from element counts. That makes the
-//! reported peak exactly reproducible run-to-run — `benchdiff` diffs it
-//! as an exact counter — and makes "the accounted resident set stays
-//! within the budget" a checkable invariant rather than a hope.
+//! reported peak exactly reproducible run-to-run — `ssj-bench`'s
+//! `pinned_counts` test asserts it exactly — and makes "the accounted
+//! resident set stays within the budget" a checkable invariant rather
+//! than a hope.
 //!
 //! What is deliberately **not** charged (documented in DESIGN.md §5h):
 //! the candidate and output pair vectors, which the in-memory driver

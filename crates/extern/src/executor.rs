@@ -86,8 +86,8 @@ impl Default for ExternConfig {
 /// Counters and timings from one external join.
 ///
 /// Everything except the `*_secs` timings is deterministic for a fixed
-/// input and config — `benchdiff` diffs `partitions`, `peak_bytes`, and
-/// the counter block exactly.
+/// input and config — `ssj-bench`'s `pinned_counts` test asserts
+/// `partitions`, `peak_bytes`, and the counter block exactly.
 #[derive(Debug, Clone, Default)]
 pub struct ExternStats {
     /// Partitions the spill was ranged into.

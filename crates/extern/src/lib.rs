@@ -23,7 +23,8 @@
 //! Memory is governed by an explicit ledger ([`budget::MemBudget`]):
 //! every long-lived buffer is charged deterministically (from element
 //! counts, never allocator internals), exceeding the budget is a hard
-//! error, and the observed peak is reported for `benchdiff` to pin.
+//! error, and the observed peak is reported (and pinned by
+//! `ssj-bench`'s `pinned_counts` test).
 //!
 //! The segment format doubles as the final stage of `ssj-store`'s
 //! log → snapshot → segment progression: [`compact`] turns recovered

@@ -37,15 +37,6 @@ commands:
                         (exit 0 = clean, 1 = findings, 2 = engine error)
     --root <dir>        workspace root (default: walk up from cwd)
     --json              machine-readable report (findings + suppressions)
-  benchdiff [options]   compare current bench results against the
-                        committed BENCH_join.json / BENCH_serve.json
-                        baselines: counters must match exactly, timings
-                        within a tolerance factor
-                        (exit 0 = within band, 1 = regression, 2 = error)
-    --root <dir>        workspace root (default: walk up from cwd)
-    --join <file>       current join_bench output to diff
-    --serve <file>      current serve_bench output to diff
-    --factor <x>        timing tolerance factor (default 4.0)
   difftest [options]    differential-test every signature scheme against
                         the naive oracle on seeded adversarial workloads
                         (exit 0 = agreement, 1 = divergences, 2 = bad usage)
@@ -72,7 +63,6 @@ fn main() -> ExitCode {
         Some("locklint") => lint_pass(&xtask::locklint::PASS, &args[1..]),
         Some("hotlint") => lint_pass(&xtask::hotlint::PASS, &args[1..]),
         Some("durlint") => lint_pass(&xtask::durlint::PASS, &args[1..]),
-        Some("benchdiff") => benchdiff(&args[1..]),
         Some("difftest") => difftest(&args[1..]),
         Some("crashtest") => crashtest(&args[1..]),
         Some("--help" | "-h" | "help") => {
@@ -270,71 +260,6 @@ fn lint_pass(pass: &'static Pass, args: &[String]) -> ExitCode {
                 print!("{report}");
             }
             if report.findings.is_empty() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::from(1)
-            }
-        }
-        Err(err) => {
-            eprintln!("error: {err}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn benchdiff(args: &[String]) -> ExitCode {
-    let mut config = xtask::benchdiff::BenchdiffConfig::default();
-    let mut root: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => match it.next() {
-                Some(dir) => root = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("error: --root needs a directory argument");
-                    return ExitCode::from(2);
-                }
-            },
-            "--join" => match it.next() {
-                Some(p) => config.current_join = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --join needs a file argument");
-                    return ExitCode::from(2);
-                }
-            },
-            "--serve" => match it.next() {
-                Some(p) => config.current_serve = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("error: --serve needs a file argument");
-                    return ExitCode::from(2);
-                }
-            },
-            "--factor" => match it.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(x)) if x >= 1.0 => config.factor = x,
-                _ => {
-                    eprintln!("error: --factor needs a number >= 1.0");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("error: unknown benchdiff option `{other}`\n\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if config.current_join.is_none() && config.current_serve.is_none() {
-        eprintln!("error: benchdiff needs --join and/or --serve (current results to compare)");
-        return ExitCode::from(2);
-    }
-
-    let root = match resolve_root(root) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    match xtask::benchdiff::run_benchdiff(&root, &config) {
-        Ok(report) => {
-            print!("{report}");
-            if report.regressions.is_empty() {
                 ExitCode::SUCCESS
             } else {
                 ExitCode::from(1)
