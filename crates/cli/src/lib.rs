@@ -185,7 +185,7 @@ fn run_external(pred: Predicate, left: &SetCollection, budget: u64) -> Result<Ou
         stats_line: format!(
             "signatures={} collisions={} candidates={} output={} partitions={} \
              mem_budget={} peak_bytes={} spilled_records={} spill_bytes={} \
-             siggen={:.3}s spill={:.3}s probe={:.3}s postfilter={:.3}s",
+             bitmap_degraded={} siggen={:.3}s spill={:.3}s probe={:.3}s postfilter={:.3}s",
             s.signatures,
             s.collisions,
             s.candidates,
@@ -195,6 +195,7 @@ fn run_external(pred: Predicate, left: &SetCollection, budget: u64) -> Result<Ou
             s.peak_bytes,
             s.spilled_records,
             s.spill_bytes,
+            s.bitmap_degraded,
             s.sig_secs,
             s.spill_secs,
             s.probe_secs,
@@ -661,6 +662,7 @@ mod tests {
             );
             assert!(spilled.exact);
             assert!(spilled.stats_line.contains("partitions="));
+            assert!(spilled.stats_line.contains("bitmap_degraded=false"));
         }
     }
 

@@ -1,8 +1,8 @@
 //! Explicit memory-budget accounting for the out-of-core executor.
 //!
 //! The executor never asks the allocator how much it used: every
-//! long-lived buffer (decoded block, spill batches, partition posting
-//! map, verification block cache) is *charged* against a ledger with a
+//! long-lived buffer (decoded block, slot table, spill batches, partition
+//! posting map, verification block cache) is *charged* against a ledger with a
 //! size computed deterministically from element counts. That makes the
 //! reported peak exactly reproducible run-to-run — `ssj-bench`'s
 //! `pinned_counts` test asserts it exactly — and makes "the accounted
@@ -10,9 +10,10 @@
 //! than a hope.
 //!
 //! What is deliberately **not** charged (documented in DESIGN.md §5h):
-//! the candidate and output pair vectors, which the in-memory driver
-//! also holds, and transient per-frame decode buffers bounded by the
-//! spill batch size.
+//! the probe pass's partner lists (4 B per bucket collision plus an 8 B
+//! offset per set), which stand in for the candidate list the in-memory
+//! driver also holds, the output pair vector, and transient per-frame
+//! decode buffers bounded by the spill batch size.
 
 use std::io;
 

@@ -1,39 +1,51 @@
 //! The streaming external-join executor.
 //!
-//! Four passes over bounded memory (DESIGN.md §5h):
+//! Four passes over bounded memory (DESIGN.md §5h). A set's *slot* is its
+//! position in the segment stream. The segment stores sets in ascending id
+//! order, so slots ascend with ids: everything after the spill pass works
+//! on slots, and every per-candidate lookup is an array index.
 //!
 //! 1. **Size** — stream the segment once, generating each set's
 //!    signatures exactly as the in-memory driver does (sorted,
 //!    deduplicated per set), to learn the total posting count and pick a
 //!    partition count the budget can hold.
-//! 2. **Spill** — stream again, hash-ranging every `(signature, id)`
-//!    posting into its partition file ([`crate::spill`]). Every
-//!    occurrence of a signature lands in the same partition.
-//! 3. **Probe** — per partition: rebuild the posting map
-//!    ([`ssj_core::SigPostings`]), enumerate bucket pairs with the
-//!    zero-alloc [`probe_partition`] loop, and merge candidates with the
-//!    same amortized global dedup the in-memory driver uses.
-//! 4. **Verify** — walk the globally sorted candidate list, fetching
-//!    sets back out of the segment through a budget-capped
-//!    [`crate::segment::BlockCache`], and keep pairs the predicate
-//!    accepts.
+//! 2. **Spill** — stream again, hash-ranging every `(signature, slot)`
+//!    posting into its partition file ([`crate::spill`]) and filling the
+//!    slot table: `ids[slot]`, plus each set's bitmap and exact length
+//!    when the bitmap filter is on. Every occurrence of a signature lands
+//!    in the same partition.
+//! 3. **Probe** — three steps, each partition's posting map
+//!    ([`ssj_core::SigPostings`]) rebuilt from its file when needed:
+//!    [`count_bucket_partners`] counts every slot's higher-slot partners,
+//!    a prefix sum turns the counts into per-slot offsets,
+//!    [`fill_bucket_partners`] rereads the partitions and writes every
+//!    partner into one flat `u32` array, and each slot's list is then
+//!    sorted and deduplicated in place.
+//! 4. **Verify** — walk the slots in ascending order and each slot's
+//!    partners in ascending order, check the bitmap bound by direct index,
+//!    and fetch only the survivors back out of the segment through a
+//!    budget-capped [`crate::segment::BlockCache`].
 //!
 //! Because per-set signature generation is identical, each signature's
-//! full bucket is intact in exactly one partition, and the merged
-//! candidate list is sorted before dedup, the output is byte-identical
-//! to [`ssj_core::self_join`] — `cargo xtask difftest` pins this with a
+//! full bucket is intact in exactly one partition, and the verify walk
+//! visits candidates in the order of the in-memory driver's sorted
+//! candidate list, the output is byte-identical to
+//! [`ssj_core::self_join`] — `cargo xtask difftest` pins this with a
 //! dedicated spill-oracle column.
 
 use crate::budget::MemBudget;
 use crate::segment::{BlockCache, Segment, SegmentBlock};
-use crate::spill::{partition_of, read_partition, remove_partitions, SpillWriter};
+use crate::spill::{
+    partition_file_name, partition_of, read_partition, remove_partitions, spill_batch_capacity,
+    SpillWriter,
+};
 use ssj_core::predicate::Predicate;
 use ssj_core::set::{SetId, WeightMap};
 use ssj_core::signature::{SigScratch, Signature, SignatureScheme};
 use ssj_core::verify::BitmapIndex;
 use ssj_core::SigPostings;
 use std::io::{self, ErrorKind};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -47,16 +59,18 @@ const POSTING_BYTES: u64 = 56;
 /// dominate and more fan-out stops helping.
 const MAX_PARTITIONS: u64 = 4096;
 
-/// Start the amortized candidate dedup at the same point the in-memory
-/// driver does.
-const DEDUP_AT: usize = 1 << 20;
+/// Charge per set of the slot table's `ids` column.
+const SLOT_ID_BYTES: u64 = 4;
 
 static SPILL_DIR_SALT: AtomicU64 = AtomicU64::new(0);
 
 /// Tuning for [`external_self_join`].
 #[derive(Debug, Clone)]
 pub struct ExternConfig {
-    /// Hard byte budget for accounted resident memory.
+    /// Hard byte budget for accounted resident memory. Like the in-memory
+    /// driver's candidate list, the probe pass's partner lists (4 B per
+    /// bucket collision, plus an 8 B offset per set) and the output pairs
+    /// sit outside the ledger.
     pub mem_budget: u64,
     /// Lower bound on the partition count (difftest uses this to force
     /// multi-partition execution under a generous budget).
@@ -67,8 +81,9 @@ pub struct ExternConfig {
     /// Build a per-set bitmap table during the spill pass and check the
     /// popcount bound before the verify pass reads sets back from disk
     /// (DESIGN.md §5i). Automatically skipped for weighted predicates,
-    /// and degraded to off (never an error) when the table does not fit
-    /// the memory budget.
+    /// and degraded to off (never an error, but reported as
+    /// [`ExternStats::bitmap_degraded`]) when the table does not fit the
+    /// memory budget.
     pub bitmap_filter: bool,
 }
 
@@ -101,7 +116,7 @@ pub struct ExternStats {
     /// Σ over buckets of c·(c−1)/2 — partition-invariant, equals the
     /// in-memory driver's collision counter.
     pub collisions: u64,
-    /// Distinct candidate pairs after the global dedup.
+    /// Distinct candidate pairs after the per-slot dedup.
     pub candidates: u64,
     /// Candidates the bitmap table rejected before any segment read
     /// (0 when the filter is off, degraded, or the predicate is
@@ -111,6 +126,9 @@ pub struct ExternStats {
     /// exact verify (`bitmap_pruned + bitmap_survivors = candidates`
     /// when the table was built).
     pub bitmap_survivors: u64,
+    /// True when the bitmap filter was asked for but its table did not
+    /// fit the budget, so every candidate went to the exact verify.
+    pub bitmap_degraded: bool,
     /// Pairs surviving verification.
     pub output_pairs: u64,
     /// Postings written to spill files.
@@ -127,85 +145,144 @@ pub struct ExternStats {
     pub verify_secs: f64,
 }
 
-/// Enumerates candidate pairs from one partition's posting map.
+/// Count step of the probe pass: for every bucket of `postings`, adds
+/// `c − 1 − i` to the partner count of its `i`-th member (`counts[slot]`),
+/// i.e. the number of higher slots it collides with there. Posting lists
+/// are strictly ascending by construction (the spill pass streams slots
+/// in order and dedups each set's signatures), so member `i`'s partners
+/// are exactly the members after it.
 ///
-/// The hot loop of the external join (registered in hotlint's
-/// `HOT_ROOTS`): for every bucket with ≥ 2 postings it pushes all
-/// `id_i < id_j` pairs packed as `(a << 32) | b`, exactly like the
-/// in-memory driver's bucket enumeration. Posting lists are ascending
-/// by construction (spill pass streams ids in ascending segment order),
-/// so `i < j` implies `id_i < id_j`. Returns the bucket collision count
-/// Σ c·(c−1)/2. Steady-state allocation-free once `pairs` has warmed
-/// (pinned by this crate's alloc witness).
-pub fn probe_partition(postings: &SigPostings, pairs: &mut Vec<u64>) -> u64 {
+/// Returns the bucket collision count Σ c·(c−1)/2, or `None` when a
+/// bucket names a slot outside `counts`. A hotlint hot root; allocates
+/// nothing (pinned by this crate's alloc witness).
+pub fn count_bucket_partners(postings: &SigPostings, counts: &mut [usize]) -> Option<u64> {
     let mut collisions = 0u64;
     for list in postings.lists() {
         let c = list.len();
         if c < 2 {
             continue;
         }
+        if list[c - 1] as usize >= counts.len() {
+            return None;
+        }
         collisions += (c as u64) * (c as u64 - 1) / 2;
-        for i in 0..c - 1 {
-            let a = u64::from(list[i]) << 32;
-            for &b in &list[i + 1..] {
-                pairs.push(a | u64::from(b));
-            }
+        for (i, &slot) in list.iter().enumerate() {
+            counts[slot as usize] += c - 1 - i;
         }
     }
-    collisions
+    Some(collisions)
 }
 
-/// Deterministic per-set charge for the verify pass's bitmap table:
-/// `words_per_set · 8` bitmap bytes plus the popcount (4), segment id
+/// Fill step of the probe pass: for every bucket of `postings`, appends
+/// each member's higher-slot partners to its list in `partners`, at the
+/// write cursor `cursors[slot]`, and advances the cursor. With cursors
+/// starting at the prefix sums of [`count_bucket_partners`]' counts, every
+/// list gets exactly its counted room.
+///
+/// Returns the partners written (the partition's collision count), which
+/// the caller checks against the count step. A hotlint hot root; allocates
+/// nothing (pinned by this crate's alloc witness).
+pub fn fill_bucket_partners(
+    postings: &SigPostings,
+    cursors: &mut [usize],
+    partners: &mut [u32],
+) -> u64 {
+    let mut written = 0u64;
+    for list in postings.lists() {
+        let c = list.len();
+        if c < 2 {
+            continue;
+        }
+        written += (c as u64) * (c as u64 - 1) / 2;
+        for i in 0..c - 1 {
+            let cursor = &mut cursors[list[i] as usize];
+            let higher = &list[i + 1..];
+            partners[*cursor..*cursor + higher.len()].copy_from_slice(higher);
+            *cursor += higher.len();
+        }
+    }
+    written
+}
+
+/// Dedup step of the probe pass. On entry `ends[s]` is the end of slot
+/// `s`'s list in `partners` (lists are contiguous, in slot order, starting
+/// at 0); each list is sorted, deduplicated and compacted to the front.
+/// On exit `ends` holds offsets: slot `s`'s distinct partners are
+/// `partners[ends[s]..ends[s + 1]]`, ascending. `ends` has one entry more
+/// than there are slots; its last entry is overwritten with the distinct
+/// total, which is also returned.
+fn dedup_partner_lists(ends: &mut [usize], partners: &mut Vec<u32>) -> usize {
+    let slots = ends.len() - 1;
+    let (mut start, mut write) = (0usize, 0usize);
+    for end_slot in ends.iter_mut().take(slots) {
+        let end = *end_slot;
+        *end_slot = write;
+        partners[start..end].sort_unstable();
+        let mut last = None;
+        for r in start..end {
+            let b = partners[r];
+            if last != Some(b) {
+                partners[write] = b;
+                write += 1;
+                last = Some(b);
+            }
+        }
+        start = end;
+    }
+    ends[slots] = write;
+    partners.truncate(write);
+    write
+}
+
+/// Deterministic per-set charge of the slot table with the bitmap filter
+/// on: `words_per_set · 8` bitmap bytes plus the popcount (4), segment id
 /// (4), and set length (4). Independent of allocator behavior, so
 /// accounted peaks reproduce exactly.
 fn bitmap_set_bytes(words_per_set: usize) -> u64 {
     words_per_set as u64 * 8 + 12
 }
 
-/// Per-set bitmaps keyed by (possibly sparse) segment id, built during
-/// the spill pass's existing stream so the verify pass can reject
-/// candidates *before* any block read (DESIGN.md §5i). Exact set lengths
-/// ride along — the popcount bound needs them, and fetching them from
-/// disk would defeat the point.
-struct BitmapTable {
-    /// Segment ids in ascending push order (the spill pass streams the
-    /// segment in id order), so slot lookup is a binary search.
-    ids: Vec<u32>,
-    /// Exact (canonical) set lengths, parallel to `ids`.
+/// Per-slot state built during the spill pass's existing stream. With
+/// the bitmap filter on it also holds each set's bitmap and exact length,
+/// so the verify pass can reject candidates *before* any block read
+/// (DESIGN.md §5i); the lengths ride along because the popcount bound
+/// needs them, and fetching them from disk would defeat the point.
+struct SlotTable {
+    /// `ids[slot]`: the segment id of each set, ascending.
+    ids: Vec<SetId>,
+    /// `lens[slot]`: exact set lengths; empty when the filter is off.
     lens: Vec<u32>,
-    bitmaps: BitmapIndex,
+    /// Bitmap rows by slot; `None` when the filter is off.
+    bitmaps: Option<BitmapIndex>,
 }
 
-impl BitmapTable {
-    fn with_capacity(words_per_set: usize, sets: usize) -> Self {
-        let mut bitmaps = BitmapIndex::new(words_per_set);
-        bitmaps.reserve(sets);
+impl SlotTable {
+    fn with_capacity(sets: usize, words_per_set: Option<usize>) -> Self {
+        let bitmaps = words_per_set.map(|wps| {
+            let mut bitmaps = BitmapIndex::new(wps);
+            bitmaps.reserve(sets);
+            bitmaps
+        });
         Self {
             ids: Vec::with_capacity(sets),
-            lens: Vec::with_capacity(sets),
+            lens: Vec::with_capacity(if bitmaps.is_some() { sets } else { 0 }),
             bitmaps,
         }
     }
 
-    fn push(&mut self, id: u32, set: &[u32]) {
+    /// Appends the next set and returns its slot.
+    fn push(&mut self, id: SetId, set: &[u32]) -> u32 {
         debug_assert!(
             self.ids.last().is_none_or(|&prev| prev < id),
-            "segment ids must arrive ascending for binary-search lookup"
+            "segment ids must arrive ascending so slots ascend with ids"
         );
+        let slot = self.ids.len() as u32;
         self.ids.push(id);
-        self.lens.push(set.len() as u32);
-        self.bitmaps.push(set);
-    }
-
-    /// Sound upper bound on the overlap of candidate ids `a` and `b`,
-    /// plus their exact lengths; `None` when either id is unknown (left
-    /// for the exact path, which reports the missing set properly).
-    fn bound(&self, a: u32, b: u32) -> Option<(usize, usize, usize)> {
-        let sa = self.ids.binary_search(&a).ok()?;
-        let sb = self.ids.binary_search(&b).ok()?;
-        let (la, lb) = (self.lens[sa] as usize, self.lens[sb] as usize);
-        Some((self.bitmaps.bound(sa, sb, la, lb), la, lb))
+        if let Some(bitmaps) = &mut self.bitmaps {
+            self.lens.push(set.len() as u32);
+            bitmaps.push(set);
+        }
+        slot
     }
 }
 
@@ -225,6 +302,63 @@ fn charge_high_water(
         *charged = now;
     }
     Ok(())
+}
+
+/// Rebuilds `postings` from spill partition `part` and charges its high
+/// water.
+fn load_spill_partition(
+    dir: &Path,
+    part: usize,
+    postings: &mut SigPostings,
+    budget: &mut MemBudget,
+    charged: &mut u64,
+) -> io::Result<()> {
+    postings.clear();
+    read_partition(&dir.join(partition_file_name(part)), postings)?;
+    charge_high_water(budget, charged, postings.approx_bytes(), "postings")
+}
+
+/// Probe pass: the distinct higher-slot partners of every slot, as
+/// `(offsets, partners)` with slot `s`'s list at
+/// `partners[offsets[s]..offsets[s + 1]]`. Fills `stats.collisions` and
+/// `stats.candidates`.
+fn probe_partitions(
+    dir: &Path,
+    partitions: usize,
+    sets: usize,
+    budget: &mut MemBudget,
+    stats: &mut ExternStats,
+) -> io::Result<(Vec<usize>, Vec<u32>)> {
+    let mut postings = SigPostings::new();
+    let mut postings_charged = 0u64;
+    let mut offsets = vec![0usize; sets + 1];
+    let mut per_part = Vec::with_capacity(partitions);
+    for part in 0..partitions {
+        load_spill_partition(dir, part, &mut postings, budget, &mut postings_charged)?;
+        let collisions = count_bucket_partners(&postings, &mut offsets[..sets])
+            .ok_or_else(|| spill_mismatch(part, "names a slot past the segment's sets"))?;
+        per_part.push(collisions);
+    }
+    let mut total = 0usize;
+    for offset in &mut offsets {
+        let count = *offset;
+        *offset = total;
+        total += count;
+    }
+    let mut partners = vec![0u32; total];
+    for (part, &collisions) in per_part.iter().enumerate() {
+        load_spill_partition(dir, part, &mut postings, budget, &mut postings_charged)?;
+        if fill_bucket_partners(&postings, &mut offsets[..sets], &mut partners) != collisions {
+            return Err(spill_mismatch(part, "changed between probe reads"));
+        }
+    }
+    drop(postings);
+    budget.release(postings_charged);
+    // The fill advanced every cursor to its list's end; the last entry
+    // still holds the total.
+    stats.collisions = total as u64;
+    stats.candidates = dedup_partner_lists(&mut offsets, &mut partners) as u64;
+    Ok((offsets, partners))
 }
 
 /// Joins a segment against itself under `cfg.mem_budget`, returning the
@@ -299,19 +433,29 @@ pub fn external_self_join<S: SignatureScheme>(
         .max(cfg.min_partitions.min(MAX_PARTITIONS as usize) as u64) as usize;
     stats.partitions = partitions;
 
-    // Bitmap table: width from the Pass-1 mean set size, charged up front
-    // at its exact deterministic size. A budget too tight for the table
-    // degrades gracefully to the plain exact path — never an error.
-    let mut table: Option<BitmapTable> = None;
-    let mut bitmap_charge = 0u64;
+    // Slot table, charged up front at its exact deterministic size: the
+    // ids column always, and with the bitmap filter the bitmap rows and
+    // lengths too (width from the Pass-1 mean set size). A budget too tight
+    // for the bitmaps degrades the filter to off — counted, never an error.
+    let sets = total_sets as usize;
+    let mut table_charge = total_sets.saturating_mul(SLOT_ID_BYTES);
+    let mut words_per_set = None;
     if cfg.bitmap_filter && !pred.is_weighted() && total_sets > 0 {
         let wps = BitmapIndex::words_for_mean(total_elems as f64 / total_sets as f64);
         let charge = total_sets.saturating_mul(bitmap_set_bytes(wps));
         if budget.charge(charge).is_ok() {
-            bitmap_charge = charge;
-            table = Some(BitmapTable::with_capacity(wps, total_sets as usize));
+            table_charge = charge;
+            words_per_set = Some(wps);
+        } else {
+            stats.bitmap_degraded = true;
         }
     }
+    if words_per_set.is_none() {
+        budget
+            .charge(table_charge)
+            .map_err(|e| io::Error::other(format!("slot table: {e}")))?;
+    }
+    let mut table = SlotTable::with_capacity(sets, words_per_set);
 
     // Pass 2: spill. Batch buffers are charged for the whole pass.
     let t1 = Instant::now();
@@ -325,7 +469,7 @@ pub fn external_self_join<S: SignatureScheme>(
     };
     std::fs::create_dir_all(&spill_dir)?;
     let batch_bytes = (cfg.mem_budget / (4 * partitions as u64)).clamp(1 << 10, 64 << 10) as usize;
-    let batch_charge = (partitions * batch_bytes) as u64;
+    let batch_charge = (partitions * spill_batch_capacity(batch_bytes)) as u64;
     budget
         .charge(batch_charge)
         .map_err(|e| io::Error::other(format!("spill batches: {e}")))?;
@@ -340,16 +484,13 @@ pub fn external_self_join<S: SignatureScheme>(
                 "block",
             )?;
             for i in 0..block.len() {
-                let id = block.id(i) as SetId;
-                if let Some(t) = table.as_mut() {
-                    t.push(id, block.set(i));
-                }
+                let slot = table.push(block.id(i) as SetId, block.set(i));
                 sigs.clear();
                 scheme.signatures_scratch(block.set(i), &mut scratch, &mut sigs);
                 sigs.sort_unstable();
                 sigs.dedup();
                 for &sig in &sigs {
-                    writer.push(partition_of(sig, partitions), sig, id)?;
+                    writer.push(partition_of(sig, partitions), sig, slot)?;
                 }
             }
         }
@@ -367,96 +508,61 @@ pub fn external_self_join<S: SignatureScheme>(
     stats.spill_bytes = spill_bytes;
     stats.spill_secs = t1.elapsed().as_secs_f64();
 
-    // Passes 3 and 4 share the spill files; make sure they are removed on
-    // every exit path.
-    let run = |budget: &mut MemBudget, stats: &mut ExternStats| -> io::Result<Vec<u64>> {
-        // Pass 3: probe one partition at a time.
-        let t2 = Instant::now();
-        let mut postings = SigPostings::new();
-        let mut postings_charged = 0u64;
-        let mut pairs: Vec<u64> = Vec::new();
-        let mut dedup_at = DEDUP_AT;
-        let mut collisions = 0u64;
-        for part in 0..partitions {
-            postings.clear();
-            let path = spill_dir.join(crate::spill::partition_file_name(part));
-            read_partition(&path, &mut postings)?;
-            charge_high_water(
-                budget,
-                &mut postings_charged,
-                postings.approx_bytes(),
-                "postings",
-            )?;
-            collisions += probe_partition(&postings, &mut pairs);
-            if pairs.len() >= dedup_at {
-                pairs.sort_unstable();
-                pairs.dedup();
-                dedup_at = (pairs.len() * 2).max(DEDUP_AT);
-            }
-        }
-        drop(postings);
-        budget.release(postings_charged);
-        pairs.sort_unstable();
-        pairs.dedup();
-        stats.collisions = collisions;
-        stats.candidates = pairs.len() as u64;
-        stats.probe_secs = t2.elapsed().as_secs_f64();
-        Ok(pairs)
-    };
-    let pairs = match run(&mut budget, &mut stats) {
-        Ok(p) => p,
-        Err(e) => {
-            let _ = remove_partitions(&spill_dir, partitions);
-            return Err(e);
-        }
-    };
-    remove_partitions(&spill_dir, partitions)?;
+    // Pass 3: probe. The spill files are removed on every exit path.
+    let t2 = Instant::now();
+    let probed = probe_partitions(&spill_dir, partitions, sets, &mut budget, &mut stats);
+    let removed = remove_partitions(&spill_dir, partitions);
+    let (offsets, partners) = probed?;
+    removed?;
+    stats.probe_secs = t2.elapsed().as_secs_f64();
 
-    // Pass 4: verify. The block cache gets half the remaining budget as
-    // its eviction cap and is charged at its (monotone) high water.
+    // Pass 4: verify, slot by slot. The block cache gets half the
+    // remaining budget as its eviction cap and is charged at its
+    // (monotone) high water.
     let t3 = Instant::now();
     let cache_cap = (budget.remaining() / 2).max(64 << 10);
     let mut cache = BlockCache::new(cache_cap);
     let mut cache_charged = 0u64;
     let mut buf_a: Vec<u32> = Vec::new();
     let mut buf_b: Vec<u32> = Vec::new();
-    let mut cur_a: Option<u32> = None;
     let mut out: Vec<(SetId, SetId)> = Vec::new();
-    for &packed in &pairs {
-        let a = (packed >> 32) as u32;
-        let b = packed as u32;
-        if let Some(t) = &table {
-            if let Some((bound, la, lb)) = t.bound(a, b) {
+    let ids = &table.ids;
+    for a in 0..sets {
+        let mut fetched_a = false;
+        for &b in &partners[offsets[a]..offsets[a + 1]] {
+            let b = b as usize;
+            if let Some(bitmaps) = &table.bitmaps {
+                let (la, lb) = (table.lens[a] as usize, table.lens[b] as usize);
                 if let Some(required) = pred.required_overlap(la, lb) {
-                    if required > 0 && bound < required {
+                    if required > 0 && bitmaps.bound(a, b, la, lb) < required {
                         stats.bitmap_pruned += 1;
                         continue;
                     }
                 }
+                stats.bitmap_survivors += 1;
             }
-            stats.bitmap_survivors += 1;
-        }
-        if cur_a != Some(a) {
-            if !segment.lookup(u64::from(a), &mut cache, &mut buf_a)? {
-                return Err(missing_candidate(a));
+            if !fetched_a {
+                if !segment.lookup(u64::from(ids[a]), &mut cache, &mut buf_a)? {
+                    return Err(missing_candidate(ids[a]));
+                }
+                fetched_a = true;
             }
-            cur_a = Some(a);
-        }
-        if !segment.lookup(u64::from(b), &mut cache, &mut buf_b)? {
-            return Err(missing_candidate(b));
-        }
-        charge_high_water(
-            &mut budget,
-            &mut cache_charged,
-            cache.used_bytes(),
-            "block cache",
-        )?;
-        if pred.evaluate(&buf_a, &buf_b, weights) {
-            out.push((a, b));
+            if !segment.lookup(u64::from(ids[b]), &mut cache, &mut buf_b)? {
+                return Err(missing_candidate(ids[b]));
+            }
+            charge_high_water(
+                &mut budget,
+                &mut cache_charged,
+                cache.used_bytes(),
+                "block cache",
+            )?;
+            if pred.evaluate(&buf_a, &buf_b, weights) {
+                out.push((ids[a], ids[b]));
+            }
         }
     }
     drop(table);
-    budget.release(bitmap_charge);
+    budget.release(table_charge);
     stats.output_pairs = out.len() as u64;
     stats.verify_secs = t3.elapsed().as_secs_f64();
     stats.peak_bytes = budget.peak();
@@ -467,5 +573,12 @@ fn missing_candidate(id: u32) -> io::Error {
     io::Error::new(
         ErrorKind::InvalidData,
         format!("candidate set {id} vanished from the segment it was generated from"),
+    )
+}
+
+fn spill_mismatch(part: usize, what: &str) -> io::Error {
+    io::Error::new(
+        ErrorKind::InvalidData,
+        format!("spill partition {part} {what}"),
     )
 }

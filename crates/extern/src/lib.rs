@@ -6,19 +6,20 @@
 //! input lives in a read-only, CRC-checked **segment** file
 //! ([`segment`]), signatures are hash-ranged into on-disk **spill
 //! partitions** sized to a byte budget ([`spill`]), and a streaming
-//! **executor** ([`executor`]) loads one partition's posting map at a
-//! time, probes it with the zero-alloc hot loop
-//! [`executor::probe_partition`], and merges per-partition candidates
-//! with a global dedup.
+//! **executor** ([`executor`]) numbers sets by *slot* (their position in
+//! the segment stream), loads one partition's posting map at a time, and
+//! gathers every slot's partners into one flat list with the zero-alloc
+//! kernels [`executor::count_bucket_partners`] and
+//! [`executor::fill_bucket_partners`].
 //!
 //! Exactness argument (DESIGN.md §5h): an exact scheme guarantees any
 //! joining pair shares at least one signature; every occurrence of that
 //! signature hashes to exactly one partition, so the pair is generated
 //! as a candidate there. Duplicates arising from pairs sharing several
-//! signatures (possibly in different partitions) are removed by the
-//! global sort + dedup, after which verification is the same predicate
-//! evaluation the in-memory driver uses — the result is byte-identical
-//! to [`ssj_core::self_join`].
+//! signatures (possibly in different partitions) are removed by sorting
+//! and deduplicating each slot's partner list, after which verification
+//! is the same predicate evaluation the in-memory driver uses — the
+//! result is byte-identical to [`ssj_core::self_join`].
 //!
 //! Memory is governed by an explicit ledger ([`budget::MemBudget`]):
 //! every long-lived buffer is charged deterministically (from element
@@ -43,7 +44,9 @@ pub mod spill;
 
 pub use budget::{parse_mem_budget, MemBudget};
 pub use compact::{segment_from_recovered, segment_from_states};
-pub use executor::{external_self_join, probe_partition, ExternConfig, ExternStats};
+pub use executor::{
+    count_bucket_partners, external_self_join, fill_bucket_partners, ExternConfig, ExternStats,
+};
 pub use segment::{
     write_collection_segment, BlockCache, BlockMeta, Segment, SegmentBlock, SegmentInfo,
     SegmentWriter,

@@ -1,5 +1,6 @@
-//! On-disk spill partitions: `(signature, set-id)` postings hash-ranged
-//! into per-partition files.
+//! On-disk spill partitions: `(signature, slot)` postings hash-ranged
+//! into per-partition files. A slot is a set's position in the segment
+//! stream (see [`crate::executor`]).
 //!
 //! Spill files are *transient* — they exist only for the duration of one
 //! external join and are recomputed from the segment on any failure, so
@@ -16,7 +17,6 @@
 //! (`cargo xtask crashtest` pins this).
 
 use ssj_core::hash::mix64;
-use ssj_core::set::SetId;
 use ssj_core::signature::Signature;
 use ssj_core::SigPostings;
 use std::fs::{File, OpenOptions};
@@ -41,6 +41,19 @@ pub fn partition_of(sig: Signature, partitions: usize) -> usize {
     (mix64(sig) % partitions as u64) as usize
 }
 
+/// Largest encoding of one posting: a 10-byte `u64` varint signature
+/// plus a 5-byte `u32` varint slot.
+const MAX_POSTING_BYTES: usize = 15;
+
+/// Bytes each partition's batch buffer holds when flushing at
+/// `batch_bytes`. A batch is flushed as soon as it reaches `batch_bytes`,
+/// so before a push it holds at most `batch_bytes − 1` bytes and after it
+/// at most `batch_bytes + 14`: the buffer is allocated once at this size
+/// and never grows, and the executor charges exactly this per partition.
+pub fn spill_batch_capacity(batch_bytes: usize) -> usize {
+    batch_bytes + MAX_POSTING_BYTES
+}
+
 struct PartWriter {
     file: File,
     batch: Vec<u8>,
@@ -56,7 +69,8 @@ pub struct SpillWriter {
 
 impl SpillWriter {
     /// Creates `partitions` spill files under `dir`, flushing each
-    /// partition's buffer once it reaches `batch_bytes`.
+    /// partition's buffer once it reaches `batch_bytes`. Each buffer is
+    /// allocated up front at [`spill_batch_capacity`]`(batch_bytes)`.
     pub fn create_at(dir: &Path, partitions: usize, batch_bytes: usize) -> io::Result<Self> {
         let mut parts = Vec::with_capacity(partitions);
         for i in 0..partitions {
@@ -67,7 +81,7 @@ impl SpillWriter {
                 .open(dir.join(partition_file_name(i)))?;
             parts.push(PartWriter {
                 file,
-                batch: Vec::new(),
+                batch: Vec::with_capacity(spill_batch_capacity(batch_bytes)),
                 records: 0,
                 bytes: 0,
             });
@@ -80,11 +94,11 @@ impl SpillWriter {
         self.parts.len()
     }
 
-    /// Appends one `(sig, id)` posting to partition `part`.
-    pub fn push(&mut self, part: usize, sig: Signature, id: SetId) -> io::Result<()> {
+    /// Appends one `(sig, slot)` posting to partition `part`.
+    pub fn push(&mut self, part: usize, sig: Signature, slot: u32) -> io::Result<()> {
         let p = &mut self.parts[part];
         write_varint(&mut p.batch, sig)?;
-        write_varint(&mut p.batch, u64::from(id))?;
+        write_varint(&mut p.batch, u64::from(slot))?;
         p.records += 1;
         if p.batch.len() >= self.batch_bytes {
             let written = write_frame(&mut p.file, &p.batch)?;
@@ -125,14 +139,11 @@ pub fn read_partition(path: &Path, postings: &mut SigPostings) -> io::Result<(u6
                 let mut cur = batch.as_slice();
                 while !cur.is_empty() {
                     let sig = read_varint(&mut cur)?;
-                    let id = read_varint(&mut cur)?;
-                    let id = u32::try_from(id).map_err(|_| {
-                        io::Error::new(
-                            ErrorKind::InvalidData,
-                            "spill posting id overflows the u32 set-id domain",
-                        )
+                    let slot = read_varint(&mut cur)?;
+                    let slot = u32::try_from(slot).map_err(|_| {
+                        io::Error::new(ErrorKind::InvalidData, "spill posting slot overflows u32")
                     })?;
-                    postings.insert(sig, id);
+                    postings.insert(sig, slot);
                     records += 1;
                 }
             }
@@ -183,10 +194,10 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let parts = 3;
         let mut w = SpillWriter::create_at(&dir, parts, 64).unwrap();
-        let postings: Vec<(Signature, SetId)> = (0..500u64)
-            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15), (i % 97) as SetId))
+        let postings: Vec<(Signature, u32)> = (0..500u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15), (i % 97) as u32))
             .collect();
-        let mut expected: Vec<Vec<(Signature, SetId)>> = vec![Vec::new(); parts];
+        let mut expected: Vec<Vec<(Signature, u32)>> = vec![Vec::new(); parts];
         for &(sig, id) in &postings {
             let p = partition_of(sig, parts);
             w.push(p, sig, id).unwrap();
@@ -205,8 +216,8 @@ mod tests {
             let distinct: std::collections::BTreeSet<Signature> =
                 exp.iter().map(|&(s, _)| s).collect();
             assert_eq!(map.len(), distinct.len());
-            let mut ids_got: Vec<SetId> = map.lists().flatten().copied().collect();
-            let mut ids_exp: Vec<SetId> = exp.iter().map(|&(_, id)| id).collect();
+            let mut ids_got: Vec<u32> = map.lists().flatten().copied().collect();
+            let mut ids_exp: Vec<u32> = exp.iter().map(|&(_, id)| id).collect();
             ids_got.sort_unstable();
             ids_exp.sort_unstable();
             assert_eq!(ids_got, ids_exp);
@@ -216,12 +227,40 @@ mod tests {
     }
 
     #[test]
+    fn batch_buffers_never_outgrow_their_charge() {
+        let dir = std::env::temp_dir().join(format!("ssj_spill_cap_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (parts, batch_bytes) = (2, 100);
+        let charge = spill_batch_capacity(batch_bytes);
+        let mut w = SpillWriter::create_at(&dir, parts, batch_bytes).unwrap();
+        let mut flushes = 0;
+        for i in 0..2_000u64 {
+            // Widest postings: a 10-byte signature and a 5-byte slot, so the
+            // push that crosses the threshold overshoots it the most.
+            let part = (i % parts as u64) as usize;
+            let before = w.parts[part].bytes;
+            w.push(part, u64::MAX - i, u32::MAX - i as u32).unwrap();
+            flushes += usize::from(w.parts[part].bytes != before);
+            for p in &w.parts {
+                assert!(
+                    p.batch.capacity() <= charge,
+                    "batch grew to {} bytes against a {charge}-byte charge",
+                    p.batch.capacity()
+                );
+            }
+        }
+        assert!(flushes > 10, "the test must push through several flushes");
+        w.seal().unwrap();
+        remove_partitions(&dir, parts).unwrap();
+    }
+
+    #[test]
     fn torn_spill_file_is_a_hard_error() {
         let dir = std::env::temp_dir().join(format!("ssj_spill_torn_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let mut w = SpillWriter::create_at(&dir, 1, 8).unwrap();
         for i in 0..50u64 {
-            w.push(0, i * 7 + 1, i as SetId).unwrap();
+            w.push(0, i * 7 + 1, i as u32).unwrap();
         }
         w.seal().unwrap();
         let path = dir.join(partition_file_name(0));

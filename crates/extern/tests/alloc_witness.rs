@@ -6,8 +6,8 @@
 //! release builds; debug builds only exercise the paths).
 //!
 //! Two witnesses:
-//! * `probe_partition` — the per-partition candidate enumeration hotlint
-//!   registers as a hot root;
+//! * `count_bucket_partners` / `fill_bucket_partners` — the probe pass's
+//!   per-partition count and fill kernels hotlint registers as hot roots;
 //! * `SigPostings` reload — `clear()` + full reinsert, the once-per-
 //!   partition rebuild, which must recycle list and table capacity.
 
@@ -17,7 +17,7 @@ use std::hint::black_box;
 
 use ssj_core::signature::Signature;
 use ssj_core::SigPostings;
-use ssj_extern::probe_partition;
+use ssj_extern::{count_bucket_partners, fill_bucket_partners};
 
 // --- counting allocator -------------------------------------------------
 
@@ -107,23 +107,38 @@ fn warmed_partition_probe_allocates_nothing() {
     for &(sig, id) in &stream {
         postings.insert(sig, id);
     }
+    let slots = stream.len() + 1;
+    let mut offsets = vec![0usize; slots];
+    let mut partners: Vec<u32> = Vec::new();
 
-    let mut pairs: Vec<u64> = Vec::new();
-    let warm_collisions = probe_partition(&postings, &mut pairs);
-    let warm_pairs = pairs.len();
-    assert!(warm_pairs > 0, "warm-up enumerated no candidate pairs");
+    // One probe of the partition: count, prefix-sum, fill. Only the warm-up
+    // sizes `partners`; the steady-state pass reuses it.
+    let probe = |offsets: &mut Vec<usize>, partners: &mut Vec<u32>| {
+        offsets.fill(0);
+        let collisions =
+            count_bucket_partners(black_box(&postings), offsets).expect("slots in range");
+        let mut total = 0;
+        for offset in offsets.iter_mut() {
+            let count = *offset;
+            *offset = total;
+            total += count;
+        }
+        partners.resize(total, 0);
+        let written = fill_bucket_partners(black_box(&postings), offsets, partners);
+        assert_eq!(written, collisions, "fill must write every counted partner");
+        collisions
+    };
+    let warm_collisions = probe(&mut offsets, &mut partners);
+    assert!(warm_collisions > 0, "warm-up enumerated no candidate pairs");
+    let warm_partners = partners.clone();
 
-    let (allocs, (collisions, count)) = count_allocs(|| {
-        pairs.clear();
-        let c = probe_partition(black_box(&postings), &mut pairs);
-        (c, pairs.len())
-    });
+    let (allocs, collisions) = count_allocs(|| probe(&mut offsets, &mut partners));
     assert_eq!(collisions, warm_collisions);
     assert_eq!(
-        count, warm_pairs,
+        partners, warm_partners,
         "steady-state pass must repeat the warm-up"
     );
-    assert_steady_state("probe_partition", allocs);
+    assert_steady_state("count_bucket_partners + fill_bucket_partners", allocs);
 }
 
 #[test]

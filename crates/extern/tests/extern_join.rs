@@ -8,7 +8,9 @@
 use ssj_core::set::SetCollection;
 use ssj_core::{self_join, JoinOptions, PartEnumJaccard, Predicate};
 use ssj_datagen::{generate_uniform, UniformConfig};
-use ssj_extern::{external_self_join, write_collection_segment, ExternConfig, Segment};
+use ssj_extern::{
+    external_self_join, write_collection_segment, ExternConfig, Segment, SegmentWriter,
+};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -41,6 +43,27 @@ fn spill_dir(tag: &str) -> PathBuf {
     ))
 }
 
+/// Segment id of the `i`-th of `n` sets in the gapped-id segment: `7·i + 3`,
+/// except the last set, which sits at the top of the `u32` id domain.
+fn gapped_id(i: u32, n: u32) -> u32 {
+    if i + 1 == n {
+        u32::MAX
+    } else {
+        7 * i + 3
+    }
+}
+
+/// Writes `collection` as a segment whose ids are [`gapped_id`]s rather
+/// than `0..n`, so no set's slot equals its id.
+fn write_gapped_segment(path: &std::path::Path, collection: &SetCollection) {
+    let n = collection.len() as u32;
+    let mut w = SegmentWriter::create_at(path, 256).expect("create segment");
+    for (i, set) in collection.iter() {
+        w.push(u64::from(gapped_id(i, n)), set).expect("push set");
+    }
+    w.seal().expect("seal segment");
+}
+
 #[test]
 fn partitioned_join_matches_in_memory_exactly() {
     let gamma = 0.8;
@@ -54,34 +77,48 @@ fn partitioned_join_matches_in_memory_exactly() {
         !expected.pairs.is_empty(),
         "workload must produce matches for the parity check to bite"
     );
+    let n = collection.len() as u32;
+    let gapped_pairs: Vec<_> = expected
+        .pairs
+        .iter()
+        .map(|&(a, b)| (gapped_id(a, n), gapped_id(b, n)))
+        .collect();
 
-    let path = tmp_path("parity");
-    write_collection_segment(&path, &collection, 256).expect("write segment");
+    let dense = tmp_path("parity");
+    write_collection_segment(&dense, &collection, 256).expect("write segment");
+    let gapped = tmp_path("gapped");
+    write_gapped_segment(&gapped, &collection);
 
-    for min_partitions in [1usize, 2, 7] {
-        let mut seg = Segment::open_path(&path).expect("open segment");
-        let cfg = ExternConfig {
-            mem_budget: u64::MAX,
-            min_partitions,
-            spill_dir: Some(spill_dir("parity")),
-            ..Default::default()
-        };
-        let (pairs, stats) =
-            external_self_join(&mut seg, &scheme, pred, None, &cfg).expect("external join");
-        assert_eq!(
-            pairs, expected.pairs,
-            "pairs diverged at min_partitions={min_partitions}"
-        );
-        assert!(stats.partitions >= min_partitions);
-        assert_eq!(stats.signatures, expected.stats.signatures_r);
-        assert_eq!(
-            stats.collisions, expected.stats.signature_collisions,
-            "collision counter must be partition-invariant"
-        );
-        assert_eq!(stats.candidates, expected.stats.candidate_pairs);
-        assert_eq!(stats.output_pairs, expected.stats.output_pairs);
+    for (path, want) in [(&dense, &expected.pairs), (&gapped, &gapped_pairs)] {
+        for min_partitions in [1usize, 2, 7] {
+            for bitmap_filter in [true, false] {
+                let mut seg = Segment::open_path(path).expect("open segment");
+                let cfg = ExternConfig {
+                    mem_budget: u64::MAX,
+                    min_partitions,
+                    spill_dir: Some(spill_dir("parity")),
+                    bitmap_filter,
+                };
+                let (pairs, stats) =
+                    external_self_join(&mut seg, &scheme, pred, None, &cfg).expect("external join");
+                let at = format!(
+                    "{} at min_partitions={min_partitions}, bitmap_filter={bitmap_filter}",
+                    path.display()
+                );
+                assert_eq!(&pairs, want, "pairs diverged for {at}");
+                assert!(stats.partitions >= min_partitions);
+                assert_eq!(stats.signatures, expected.stats.signatures_r);
+                assert_eq!(
+                    stats.collisions, expected.stats.signature_collisions,
+                    "collision counter must be partition-invariant ({at})"
+                );
+                assert_eq!(stats.candidates, expected.stats.candidate_pairs, "{at}");
+                assert_eq!(stats.output_pairs, expected.stats.output_pairs, "{at}");
+            }
+        }
     }
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&dense).ok();
+    std::fs::remove_file(&gapped).ok();
 }
 
 #[test]
@@ -188,6 +225,57 @@ fn bitmap_filter_is_transparent_and_counted() {
     );
     assert_eq!(off_stats.bitmap_pruned, 0);
     assert_eq!(off_stats.bitmap_survivors, 0);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn budget_too_tight_for_the_bitmap_table_degrades_visibly() {
+    // Wide sets (4-word bitmaps, 44 B per set in the table) and many of
+    // them, in small blocks: the table outweighs what the rest of the join
+    // needs at the budget below.
+    let gamma = 0.8;
+    let collection = generate_uniform(UniformConfig {
+        base_sets: 2_500,
+        set_size: 50,
+        domain: 20_000,
+        similar_fraction: 0.3,
+        planted_similarity: 0.9,
+        seed: 0xDE6,
+    });
+    let scheme =
+        PartEnumJaccard::new(gamma, collection.max_set_len().max(16), 5).expect("valid gamma");
+    let pred = Predicate::Jaccard { gamma };
+    let expected = self_join(&scheme, &collection, pred, None, JoinOptions::sequential());
+    assert!(!expected.pairs.is_empty());
+    let path = tmp_path("degraded");
+    write_collection_segment(&path, &collection, 256).expect("write segment");
+
+    let run = |mem_budget: u64| {
+        let mut seg = Segment::open_path(&path).expect("open segment");
+        let cfg = ExternConfig {
+            mem_budget,
+            spill_dir: Some(spill_dir("degraded")),
+            ..Default::default()
+        };
+        external_self_join(&mut seg, &scheme, pred, None, &cfg).expect("external join")
+    };
+    // Roomy: the table fits and the filter runs.
+    let (_, roomy) = run(u64::MAX);
+    assert!(!roomy.bitmap_degraded);
+    assert!(roomy.bitmap_pruned > 0);
+
+    // The join fits in 120 KiB, but the 143 000-byte bitmap table does not.
+    let budget = 120 << 10;
+    let (pairs, stats) = run(budget);
+    assert!(
+        stats.bitmap_degraded,
+        "a {budget}-byte budget should be too tight for the bitmap table"
+    );
+    assert_eq!(pairs, expected.pairs, "the degraded run must stay exact");
+    assert_eq!(stats.candidates, expected.stats.candidate_pairs);
+    assert_eq!(stats.bitmap_pruned, 0);
+    assert_eq!(stats.bitmap_survivors, 0);
+    assert!(stats.peak_bytes <= budget);
     std::fs::remove_file(&path).ok();
 }
 

@@ -83,8 +83,9 @@ pub const SUPPRESSIBLE_RULES: [&str; 6] = [
 ///   `query_candidates` answer every service request;
 /// * WAL record encoding — `encode_record_into` / `encode_set` run per
 ///   write inside the store's critical section;
-/// * `probe_partition` — the external executor's per-partition candidate
-///   enumeration, run once per spill partition over every posting list;
+/// * `count_bucket_partners` / `fill_bucket_partners` — the external
+///   executor's probe kernels, each run once per spill partition over
+///   every posting list;
 /// * `verify_pair` / `overlap_bound` / `write_bitmap` — the pluggable
 ///   verification trait method, the bitmap popcount bound it checks per
 ///   candidate, and the per-query bitmap build on the serve read path;
@@ -93,7 +94,7 @@ pub const SUPPRESSIBLE_RULES: [&str; 6] = [
 ///   are already covered by the serve roots; `call` sits in [`CALL_CUT`]).
 ///   The fan-out method `Transport::call_all` is *not* cut, so
 ///   `TcpTransport`'s socket path is hot and analyzed.
-pub const HOT_ROOTS: [&str; 19] = [
+pub const HOT_ROOTS: [&str; 20] = [
     "verify_pairs_into",
     "verify_pair",
     "overlap_bound",
@@ -111,7 +112,8 @@ pub const HOT_ROOTS: [&str; 19] = [
     "query_candidates",
     "encode_record_into",
     "encode_set",
-    "probe_partition",
+    "count_bucket_partners",
+    "fill_bucket_partners",
     "route_query",
 ];
 

@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of `ssjoin --mem-budget`: the out-of-core join
-# must actually spill (>= 2 partitions under a tight budget) and its
-# output must be byte-identical to the in-memory join on the same input.
+# must actually spill (>= 2 partitions under a tight budget), keep its
+# bitmap filter and its accounted peak within the budget, and its output
+# must be byte-identical to the in-memory join on the same input.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BIN=${SSJOIN_BIN:-target/debug/ssjoin}
-if [[ ! -x "$BIN" ]]; then
+# Rebuild unless a binary is given: a stale one would miss stats fields.
+if [[ -z "${SSJOIN_BIN:-}" ]]; then
   cargo build -q -p ssj-cli --bin ssjoin
 fi
+BIN=${SSJOIN_BIN:-target/debug/ssjoin}
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
@@ -45,10 +47,24 @@ if [[ -z "$parts" || "$parts" -lt 2 ]]; then
   exit 1
 fi
 
+if ! grep -q 'bitmap_degraded=false' "$work/stats.txt"; then
+  echo "spill_smoke: the bitmap filter degraded (or the stats line lost its flag)"
+  cat "$work/stats.txt"
+  exit 1
+fi
+
+budget=$(grep -o 'mem_budget=[0-9]*' "$work/stats.txt" | cut -d= -f2)
+peak=$(grep -o 'peak_bytes=[0-9]*' "$work/stats.txt" | cut -d= -f2)
+if [[ -z "$budget" || -z "$peak" || "$peak" -gt "$budget" ]]; then
+  echo "spill_smoke: expected peak_bytes <= mem_budget, got '${peak:-none}' > '${budget:-none}'"
+  cat "$work/stats.txt"
+  exit 1
+fi
+
 pairs=$(wc -l < "$work/mem.txt")
 if [[ "$pairs" -lt 1 ]]; then
   echo "spill_smoke: join produced no pairs; the workload is broken"
   exit 1
 fi
 
-echo "spill_smoke: OK ($pairs pairs, $parts partitions, outputs byte-identical)"
+echo "spill_smoke: OK ($pairs pairs, $parts partitions, peak $peak <= $budget bytes, outputs byte-identical)"
