@@ -30,6 +30,7 @@ cargo test -q --release -p ssj-store --features lock-witness
 
 echo "==> fs-order witness persistence tests (release)"
 cargo test -q --release -p ssj-store --features fs-witness
+cargo test -q --release -p ssj-serve --features fs-witness
 cargo test -q --release -p ssj-extern --features fs-witness
 cargo test -q --release -p ssj-cluster --features fs-witness
 

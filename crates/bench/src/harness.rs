@@ -3,9 +3,10 @@
 
 use ssj_baselines::{LshJaccard, PrefixFilter, PrefixFilterConfig};
 use ssj_core::join::{self_join, JoinOptions, JoinResult};
-use ssj_core::partenum::{optimize_jaccard, PartEnumJaccard};
+use ssj_core::partenum::{estimate_cost, optimize_jaccard, PartEnumJaccard};
 use ssj_core::predicate::Predicate;
 use ssj_core::set::SetCollection;
+use ssj_core::signature::SignatureScheme;
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
@@ -165,10 +166,8 @@ pub fn run_jaccard(
     };
     match algo {
         JaccardAlgo::Pen => {
-            let params = optimize_jaccard(gamma, collection, 256, 1_000, seed);
             let scheme =
-                PartEnumJaccard::with_params(gamma, collection.max_set_len(), seed, &params)
-                    .expect("optimizer yields valid parameters");
+                pen_scheme(collection, gamma, seed).expect("optimizer yields valid parameters");
             let result = self_join(&scheme, collection, pred, None, opts);
             (result, "optimized (n1,n2) per instance".to_string())
         }
@@ -192,67 +191,66 @@ pub fn run_jaccard(
     }
 }
 
+/// The PartEnum plan the harness runs: `optimize_jaccard`'s parameters
+/// (256 signatures per set at most, a 1 000-set sample).
+pub fn pen_scheme(
+    collection: &SetCollection,
+    gamma: f64,
+    seed: u64,
+) -> ssj_core::error::Result<PartEnumJaccard> {
+    let params = optimize_jaccard(gamma, collection, 256, 1_000, seed);
+    PartEnumJaccard::with_params(gamma, collection.max_set_len(), seed, &params)
+}
+
 /// Estimated signature collisions for running `algo` on `collection` at
 /// `gamma` — used to skip runs whose candidate sets would not fit in memory
 /// (PF at the paper's 1M scale needs a DBMS that spills; this in-memory
-/// harness bounds itself instead and says so).
+/// harness bounds itself instead and says so). Each algorithm is priced
+/// with the scheme [`run_jaccard`] builds.
 pub fn estimate_collisions(
     collection: &SetCollection,
     gamma: f64,
     algo: JaccardAlgo,
     seed: u64,
 ) -> f64 {
-    use ssj_core::partenum::estimate_cost;
-    use ssj_core::signature::SignatureScheme;
+    match algo {
+        JaccardAlgo::Pen => pen_scheme(collection, gamma, seed).map_or(f64::INFINITY, |scheme| {
+            sampled_collisions(&scheme, collection)
+        }),
+        JaccardAlgo::Lsh(recall) => {
+            let scheme = LshJaccard::optimized(gamma, recall, collection, 1_000, seed);
+            sampled_collisions(&scheme, collection)
+        }
+        JaccardAlgo::Pf => PrefixFilter::build(
+            Predicate::Jaccard { gamma },
+            &[collection],
+            None,
+            PrefixFilterConfig { size_filter: true },
+        )
+        .map_or(f64::INFINITY, |scheme| {
+            sampled_collisions(&scheme, collection)
+        }),
+    }
+}
+
+/// Signature collisions `scheme` makes on `collection`, priced by
+/// `estimate_cost` on an evenly spaced sample of about 2 000 sets.
+fn sampled_collisions(scheme: &impl SignatureScheme, collection: &SetCollection) -> f64 {
     let step = (collection.len() / 2_000).max(1);
     let sample: Vec<&[u32]> = (0..collection.len())
         .step_by(step)
         .map(|i| collection.set(i as u32))
         .collect();
     let scale = collection.len() as f64 / sample.len().max(1) as f64;
-    fn collisions_of(
-        cost: f64,
-        scheme: &impl SignatureScheme,
-        sample: &[&[u32]],
-        scale: f64,
-    ) -> f64 {
-        let mut buf = Vec::new();
-        let mut n = 0u64;
-        for s in sample {
-            buf.clear();
-            scheme.signatures_into(s, &mut buf);
-            n += buf.len() as u64;
-        }
-        (cost - 2.0 * n as f64 * scale).max(0.0)
+    let cost = estimate_cost(scheme, &sample, scale);
+    let mut buf = Vec::new();
+    let mut n = 0u64;
+    for s in &sample {
+        buf.clear();
+        scheme.signatures_into(s, &mut buf);
+        n += buf.len() as u64;
     }
-    match algo {
-        JaccardAlgo::Pen => {
-            let scheme = match PartEnumJaccard::new(gamma, collection.max_set_len(), seed) {
-                Ok(s) => s,
-                Err(_) => return f64::INFINITY,
-            };
-            let cost = estimate_cost(&scheme, &sample, scale);
-            collisions_of(cost, &scheme, &sample, scale)
-        }
-        JaccardAlgo::Lsh(recall) => {
-            let scheme = LshJaccard::optimized(gamma, recall, collection, 1_000, seed);
-            let cost = estimate_cost(&scheme, &sample, scale);
-            collisions_of(cost, &scheme, &sample, scale)
-        }
-        JaccardAlgo::Pf => {
-            let scheme = match PrefixFilter::build(
-                Predicate::Jaccard { gamma },
-                &[collection],
-                None,
-                PrefixFilterConfig { size_filter: true },
-            ) {
-                Ok(s) => s,
-                Err(_) => return f64::INFINITY,
-            };
-            let cost = estimate_cost(&scheme, &sample, scale);
-            collisions_of(cost, &scheme, &sample, scale)
-        }
-    }
+    (cost - 2.0 * n as f64 * scale).max(0.0)
 }
 
 /// Collision budget above which a run is skipped (≈ 16 GB of encoded pairs).
@@ -338,6 +336,28 @@ pub fn write_json(experiment: &str, records: &[RunRecord]) -> std::io::Result<st
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn pen_estimate_prices_the_plan_that_runs() {
+        let collection = ssj_datagen::generate_uniform(ssj_datagen::UniformConfig {
+            base_sets: 800,
+            set_size: 50,
+            domain: 10_000,
+            similar_fraction: 0.2,
+            planted_similarity: 0.9,
+            seed: 5,
+        });
+        let (gamma, seed) = (0.8, 1);
+        let estimate = estimate_collisions(&collection, gamma, JaccardAlgo::Pen, seed);
+        // The optimizer's plan, built the way `run_jaccard` builds it…
+        let params = optimize_jaccard(gamma, &collection, 256, 1_000, seed);
+        let plan = PartEnumJaccard::with_params(gamma, collection.max_set_len(), seed, &params)
+            .expect("optimizer yields valid parameters");
+        assert_eq!(estimate, sampled_collisions(&plan, &collection));
+        // …not the default plan, which prices differently here.
+        let default = PartEnumJaccard::new(gamma, collection.max_set_len(), seed).unwrap();
+        assert_ne!(estimate, sampled_collisions(&default, &collection));
+    }
 
     #[test]
     fn scale_parsing_and_sizes() {

@@ -236,8 +236,8 @@ QUERY OPTIONS (one-shot client; prints the JSON response line):
   --remove ID         remove a set by id
   --get-stats         fetch server counters
   --shutdown          drain and stop the server
-  --compact           compact the server's snapshots+WAL into a segment
-  --seg-get ID        point-read a set by id from the newest segment
+  --compact           snapshot every shard now (and truncate the WAL)
+  --seg-get ID        point-read a set by id from its shard's snapshot
   --deadline-ms N     per-request queue deadline
 ";
 

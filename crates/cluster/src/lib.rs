@@ -20,9 +20,9 @@
 //!   allocation-free once warmed (a hotlint HOT_ROOT with a release-mode
 //!   counting-allocator witness).
 //! * [`replica`] — read replicas: bootstrap from the owner's shipped
-//!   snapshot images (`snap_fetch`, byte-identical to `shard-<i>.snap`),
-//!   then tail the WAL over the `tail` wire op (CRC frames reused
-//!   verbatim). The router fails a query over to a replica when the owner
+//!   snapshot segment images (`snap_fetch`, byte-identical to
+//!   `shard-<i>.snap` and checked by the same segment decoder), then tail
+//!   the WAL over the `tail` wire op (CRC frames reused verbatim). The router fails a query over to a replica when the owner
 //!   is unreachable.
 //! * [`sim`] — the first-class test harness: an in-process simulated
 //!   network of N real `ssj_serve::Server`s driven through the real wire

@@ -3,10 +3,11 @@
 //! A replica's state machine is the store's own recovery pipeline run over
 //! the wire instead of over a directory:
 //!
-//! 1. **Bootstrap** — `snap_fetch` ships one snapshot image per shard, all
-//!    at one consistent watermark and byte-identical to the owner's
-//!    `shard-<i>.snap` files. The replica verifies each image (same CRC +
-//!    topology checks as recovery) and restores a memory-only
+//! 1. **Bootstrap** — `snap_fetch` ships one snapshot segment image per
+//!    shard, all at one consistent watermark and byte-identical to the
+//!    owner's `shard-<i>.snap` files. The replica decodes each image with
+//!    the segment decoder recovery uses (every block CRC, the footer
+//!    stamp's shard and topology) and restores a memory-only
 //!    [`ShardedIndex`] at that watermark.
 //! 2. **Tail** — `tail` ships the WAL suffix from the replica's sequence
 //!    number on, as CRC frames byte-identical to the WAL file's framing.
@@ -130,8 +131,8 @@ impl Replica {
         for (i, image) in images.iter().enumerate() {
             let hex = image.as_str().map_err(protocol)?;
             let bytes = wire::parse_hex(hex).map_err(protocol)?;
-            let (image_seq, state) = ssj_store::decode_shard_snapshot(&bytes, i, n)
-                .map_err(|e| protocol(e.to_string()))?;
+            let (image_seq, state) =
+                ShardState::from_image(&bytes, i, n).map_err(|e| protocol(e.to_string()))?;
             if image_seq != seq {
                 return Err(protocol(format!(
                     "shipped image for shard {i} is at seq {image_seq}, batch claims {seq}"
@@ -204,9 +205,10 @@ impl Replica {
     }
 
     /// Promotion: persists the replica's current state into `dir` as a
-    /// real data directory — one verified snapshot image per shard at the
-    /// replica's watermark, each written durably with the store's own
-    /// atomic tmp + fsync + rename + dir-fsync discipline. Stale `*.tmp`
+    /// real data directory — one snapshot segment per shard at the
+    /// replica's watermark, each checked by the recovery decoder and then
+    /// written durably through the store's one publisher (tmp + fsync +
+    /// rename + dir-fsync). Stale `*.tmp`
     /// litter from an earlier promotion attempt that crashed mid-ship is
     /// swept first, the same way store recovery sweeps snapshot litter —
     /// a retried promotion always starts from a clean staging area. A
@@ -217,8 +219,7 @@ impl Replica {
         let (states, seq) = self.index.dump();
         let n = states.len();
         for (i, state) in states.iter().enumerate() {
-            let bytes = ssj_store::encode_shard_snapshot(i, n, seq, state)?;
-            ssj_store::persist_shipped_snapshot(dir, i, n, &bytes)?;
+            ssj_store::persist_shipped_snapshot(dir, i, n, &state.to_image(i, n, seq)?)?;
         }
         Ok(())
     }

@@ -97,7 +97,7 @@ impl HashRing {
 
     /// The node owning raw ring position `hash`: first point at or after
     /// it, wrapping to the first point past the top of the circle.
-    pub fn node_at(&self, hash: u64) -> u32 {
+    fn node_at(&self, hash: u64) -> u32 {
         let i = self.points.partition_point(|&(pos, _)| pos < hash);
         match self.points.get(i) {
             Some(&(_, node)) => node,

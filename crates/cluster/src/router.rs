@@ -220,26 +220,6 @@ impl<T: Transport> Router<T> {
         }
     }
 
-    /// Detaches and returns node `node`'s replica (promotion).
-    pub fn take_replica(&mut self, node: usize) -> Option<Replica> {
-        self.replicas.get_mut(node).and_then(Option::take)
-    }
-
-    /// Tails every attached replica from its current watermark (no-op for
-    /// replicas whose owner is unreachable). Returns how many advanced.
-    pub fn catch_up_replicas(&mut self) -> usize {
-        let mut advanced = 0;
-        for replica in self.replicas.iter_mut().flatten() {
-            let before = replica.seq();
-            if let Ok(after) = replica.catch_up(&mut self.transport) {
-                if after > before {
-                    advanced += 1;
-                }
-            }
-        }
-        advanced
-    }
-
     /// Encodes a node-local global id as a cluster id.
     pub fn cluster_id(&self, node_local: u64, node: usize) -> u64 {
         node_local * self.nodes() as u64 + node as u64

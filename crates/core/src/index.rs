@@ -537,20 +537,13 @@ impl JaccardIndex {
 
     /// Streaming dedup: query then insert.
     pub fn query_insert(&mut self, elems: Vec<ElementId>) -> (Vec<SetId>, SetId) {
-        let (matches, id, _) = self.query_insert_counted(elems);
-        (matches, id)
-    }
-
-    /// [`Self::query_insert`] that also reports the number of candidates
-    /// probed by the query half.
-    pub fn query_insert_counted(&mut self, elems: Vec<ElementId>) -> (Vec<SetId>, SetId, usize) {
         let mut sorted = elems;
         sorted.sort_unstable();
         sorted.dedup();
         self.ensure_capacity(sorted.len());
-        let (matches, probed) = self.query_counted(&sorted);
+        let (matches, _) = self.query_counted(&sorted);
         let id = self.insert(sorted);
-        (matches, id, probed)
+        (matches, id)
     }
 
     /// The indexed set for a live stable id (`None` once removed, or for

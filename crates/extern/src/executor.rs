@@ -24,7 +24,7 @@
 //! 4. **Verify** — walk the slots in ascending order and each slot's
 //!    partners in ascending order, check the bitmap bound by direct index,
 //!    and fetch only the survivors back out of the segment through a
-//!    budget-capped [`crate::segment::BlockCache`].
+//!    budget-capped [`ssj_store::segment::BlockCache`].
 //!
 //! Because per-set signature generation is identical, each signature's
 //! full bucket is intact in exactly one partition, and the verify walk
@@ -34,7 +34,6 @@
 //! dedicated spill-oracle column.
 
 use crate::budget::MemBudget;
-use crate::segment::{BlockCache, Segment, SegmentBlock};
 use crate::spill::{
     partition_file_name, partition_of, read_partition, remove_partitions, spill_batch_capacity,
     SpillWriter,
@@ -44,6 +43,7 @@ use ssj_core::set::{SetId, WeightMap};
 use ssj_core::signature::{SigScratch, Signature, SignatureScheme};
 use ssj_core::verify::BitmapIndex;
 use ssj_core::SigPostings;
+use ssj_store::segment::{BlockCache, Segment, SegmentBlock};
 use std::io::{self, ErrorKind};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};

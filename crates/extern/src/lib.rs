@@ -4,7 +4,7 @@
 //! fits in RAM. This crate removes that assumption following the
 //! partition-at-a-time recipe of I/O-efficient similarity joins: the
 //! input lives in a read-only, CRC-checked **segment** file
-//! ([`segment`]), signatures are hash-ranged into on-disk **spill
+//! (`ssj_store::segment`, re-exported here), signatures are hash-ranged into on-disk **spill
 //! partitions** sized to a byte budget ([`spill`]), and a streaming
 //! **executor** ([`executor`]) numbers sets by *slot* (their position in
 //! the segment stream), loads one partition's posting map at a time, and
@@ -27,27 +27,21 @@
 //! error, and the observed peak is reported (and pinned by
 //! `ssj-bench`'s `pinned_counts` test).
 //!
-//! The segment format doubles as the final stage of `ssj-store`'s
-//! log → snapshot → segment progression: [`compact`] turns recovered
-//! snapshot state into a segment that `ssjoin serve` can answer point
-//! queries from.
+//! The segment is the workspace's one on-disk set image: `ssj-store`
+//! writes every shard snapshot in it, so a serving node's
+//! `shard-<i>.snap` files are segments this executor can read as they
+//! are (global ids aside: a snapshot holds one shard's local ids).
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 
 pub mod budget;
-pub mod compact;
 pub mod executor;
-pub mod segment;
 pub mod spill;
 
 pub use budget::{parse_mem_budget, MemBudget};
-pub use compact::{segment_from_recovered, segment_from_states};
 pub use executor::{
     count_bucket_partners, external_self_join, fill_bucket_partners, ExternConfig, ExternStats,
 };
-pub use segment::{
-    write_collection_segment, BlockCache, BlockMeta, Segment, SegmentBlock, SegmentInfo,
-    SegmentWriter,
-};
+pub use ssj_store::segment::{write_collection_segment, Segment};

@@ -8,9 +8,8 @@
 use ssj_core::set::SetCollection;
 use ssj_core::{self_join, JoinOptions, PartEnumJaccard, Predicate};
 use ssj_datagen::{generate_uniform, UniformConfig};
-use ssj_extern::{
-    external_self_join, write_collection_segment, ExternConfig, Segment, SegmentWriter,
-};
+use ssj_extern::{external_self_join, write_collection_segment, ExternConfig, Segment};
+use ssj_store::segment::{write_segment, SegmentStamp};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -57,11 +56,16 @@ fn gapped_id(i: u32, n: u32) -> u32 {
 /// than `0..n`, so no set's slot equals its id.
 fn write_gapped_segment(path: &std::path::Path, collection: &SetCollection) {
     let n = collection.len() as u32;
-    let mut w = SegmentWriter::create_at(path, 256).expect("create segment");
-    for (i, set) in collection.iter() {
-        w.push(u64::from(gapped_id(i, n)), set).expect("push set");
-    }
-    w.seal().expect("seal segment");
+    let stamp = SegmentStamp {
+        shard: 0,
+        shard_count: 1,
+        seq: 0,
+        next_id: u64::from(u32::MAX) + 1,
+    };
+    let sets = collection
+        .iter()
+        .map(|(i, set)| (u64::from(gapped_id(i, n)), set));
+    write_segment(path, 256, stamp, sets).expect("write segment");
 }
 
 #[test]

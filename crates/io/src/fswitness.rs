@@ -1,7 +1,7 @@
 //! Runtime crash-consistency witness: fs-event ordering assertions.
 //!
-//! The durable layers (`ssj-store` snapshots and WAL truncation,
-//! `ssj-extern` segment sealing, `ssj-cluster` topology and replica
+//! The durable layers (`ssj-store` snapshot segments, the meta file and
+//! batch-join input segments, `ssj-cluster` topology and replica
 //! snapshots) all rely on one protocol to survive a crash at any
 //! instant:
 //!
@@ -11,8 +11,7 @@
 //! The static pass `cargo xtask durlint` proves the protocol's shape on
 //! every source path (DESIGN.md §5k); this module is the *exact* half of
 //! that signature→verify split, mirroring `ssj_core::lockwitness`: the
-//! canonical helpers in [`crate::fs`] (and the one streaming writer that
-//! inlines the sequence, `ssj-extern`'s segment sealer) report each
+//! one publisher, [`crate::fs::publish_durable`], reports each
 //! create/write/fsync/rename/dirsync event here, and in debug builds —
 //! or with the `fs-witness` feature — two orderings are asserted as the
 //! events arrive:

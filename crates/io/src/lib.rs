@@ -72,7 +72,7 @@ pub fn write_collection(out: &mut impl Write, collection: &SetCollection) -> io:
 }
 
 /// Deserializes a collection written by [`write_collection`].
-pub fn read_collection(input: &mut impl Read) -> io::Result<SetCollection> {
+fn read_collection(input: &mut impl Read) -> io::Result<SetCollection> {
     expect_magic(input, &COLLECTION_MAGIC, "set-collection")?;
     let count = read_varint(input)? as usize;
     let mut collection = SetCollection::with_capacity(count, count * 8);
@@ -165,25 +165,6 @@ pub fn save_collection(path: impl AsRef<Path>, collection: &SetCollection) -> io
     out.flush()
 }
 
-/// Loads a collection from a file (buffered).
-pub fn load_collection(path: impl AsRef<Path>) -> io::Result<SetCollection> {
-    let mut input = io::BufReader::new(std::fs::File::open(path)?);
-    read_collection(&mut input)
-}
-
-/// Saves a weight map to a file (buffered).
-pub fn save_weights(path: impl AsRef<Path>, weights: &WeightMap) -> io::Result<()> {
-    let mut out = io::BufWriter::new(std::fs::File::create(path)?);
-    write_weights(&mut out, weights)?;
-    out.flush()
-}
-
-/// Loads a weight map from a file (buffered).
-pub fn load_weights(path: impl AsRef<Path>) -> io::Result<WeightMap> {
-    let mut input = io::BufReader::new(std::fs::File::open(path)?);
-    read_weights(&mut input)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,7 +253,7 @@ mod tests {
         let path = dir.join(format!("ssj_io_test_{}", std::process::id()));
         let c: SetCollection = vec![vec![5, 10, 15]].into_iter().collect();
         save_collection(&path, &c).unwrap();
-        let back = load_collection(&path).unwrap();
+        let back = collection_from_bytes(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(back.set(0), &[5, 10, 15]);
         std::fs::remove_file(&path).ok();
     }

@@ -113,7 +113,7 @@ pub fn parse_request(line: &str) -> Result<WireRequest, String> {
 /// payloads — shipped snapshot images, WAL frames — cross the NDJSON wire
 /// in this form: the framing and checksums inside stay byte-identical to
 /// the on-disk formats, hex is only the JSON-safe envelope.
-pub fn write_hex(out: &mut String, bytes: &[u8]) {
+fn write_hex(out: &mut String, bytes: &[u8]) {
     out.push('"');
     for b in bytes {
         let _ = write!(out, "{b:02x}");

@@ -356,7 +356,7 @@ fn scenario_promote_replica(seed: u64, scratch: &Path, litter: bool) -> Scenario
 
 /// A first promotion attempt crashes mid-ship: only a prefix of the shard
 /// images was published, and one image sits as a torn `*.tmp` stage (the
-/// exact on-disk footprint of `atomic_write_durable` dying between create
+/// exact on-disk footprint of `ssj_io::fs::publish_durable` dying between create
 /// and rename). The retried promotion must sweep the stage, re-ship every
 /// shard at the replica's watermark, and recover to exactly the oracle.
 fn scenario_crash_mid_promotion(seed: u64, scratch: &Path) -> Scenario {
@@ -379,15 +379,19 @@ fn scenario_crash_mid_promotion(seed: u64, scratch: &Path) -> Scenario {
     let (states, seq) = replica.index().dump();
     let n = states.len();
     for (i, state) in states.iter().take(n / 2).enumerate() {
-        let bytes = ssj_store::encode_shard_snapshot(i, n, seq, state)
+        let bytes = state
+            .to_image(i, n, seq)
             .map_err(|e| format!("encode shard {i}: {e}"))?;
         ssj_store::persist_shipped_snapshot(&promote_dir, i, n, &bytes)
             .map_err(|e| format!("ship shard {i}: {e}"))?;
     }
-    // …then die mid-stage on the next one: `atomic_write_durable` crashed
-    // between create and rename leaves `shard-<k>.tmp`.
-    fs::write(promote_dir.join(format!("shard-{}.tmp", n / 2)), b"torn")
-        .map_err(|e| format!("write torn stage: {e}"))?;
+    // …then die mid-stage on the next one: the publisher crashed between
+    // create and rename leaves `shard-<k>.snap.tmp`.
+    fs::write(
+        promote_dir.join(format!("shard-{}.snap.tmp", n / 2)),
+        b"torn",
+    )
+    .map_err(|e| format!("write torn stage: {e}"))?;
 
     // The retried promotion must start from a clean staging area and
     // publish the full consistent batch.

@@ -11,15 +11,15 @@
 //!   (including mid-record), the footprint of a torn final append;
 //! * **flip-wal** — flip one bit anywhere in the WAL, the footprint of
 //!   silent media corruption;
-//! * **flip-snap** — flip one bit anywhere in a snapshot file (header,
-//!   body, or checksum);
+//! * **flip-snap** — flip one bit in a snapshot segment (taking one first
+//!   if the seed never snapshotted), in a region drawn uniformly from the
+//!   format's four — magic, block frames, footer, trailer — so every
+//!   region is flipped across seeds; recovery must fail loudly;
 //! * **stray-tmp** — leave a garbage `.snap.tmp` from a crashed snapshot;
-//! * **mid-spill** — leave the debris of a crash mid-spill: a partial
-//!   `part-N.spill.tmp` partition file and a half-written `.seg.tmp`
-//!   segment (both must be swept, and neither may be listed as a segment);
-//! * **flip-segment** — compact the acked state into a real segment, then
-//!   flip one bit anywhere in it: the flip must surface as a hard error on
-//!   open or block scan, and must not disturb WAL recovery;
+//! * **mid-spill** — leave the debris of a crash mid-spill and mid-seal: a
+//!   partial `part-N.spill.tmp` partition file and the first half of a
+//!   real snapshot segment as its `.snap.tmp` stage (recovery must sweep
+//!   both and recover the full history);
 //! * **clean** — no mutation at all (control).
 //!
 //! Recovery then reopens the directory and the recovered state is compared
@@ -28,7 +28,7 @@
 //! number. The invariants checked:
 //!
 //! 1. recovery never panics, and fails only for snapshot corruption
-//!    (which is detected by checksum, never silently decoded);
+//!    (which is detected by checksum or magic, never silently decoded);
 //! 2. the recovered state is always a *prefix* of the acked history, and
 //!    equals the oracle replayed to exactly that prefix;
 //! 3. a crash (truncation) never loses a durably-acked write: the
@@ -366,32 +366,50 @@ fn scenario_flip_wal(cp: &CrashPoint, dir: &Path, rng: &mut Rng) -> Scenario {
 }
 
 fn scenario_flip_snap(cp: &CrashPoint, dir: &Path, rng: &mut Rng) -> Scenario {
-    let snaps = snap_files(dir)?;
-    if snaps.is_empty() {
-        return Ok(()); // seed never snapshotted
-    }
-    let target = &snaps[rng.below(snaps.len() as u64) as usize];
-    let mut bytes = fs::read(target).map_err(|e| format!("read snap: {e}"))?;
-    if bytes.is_empty() {
-        return Ok(());
-    }
-    let pos = rng.below(bytes.len() as u64) as usize;
-    bytes[pos] ^= 1 << rng.below(8);
-    fs::write(target, &bytes).map_err(|e| format!("write snap: {e}"))?;
-    // Snapshots are whole-file checksummed: any flip — magic, header,
-    // body, or trailer — must make recovery fail loudly rather than
-    // deliver a silently wrong index.
     let cfg = ServerConfig {
         data_dir: Some(dir.to_path_buf()),
         ..cp.cfg.clone()
     };
+    if snap_files(dir)?.is_empty() {
+        // The seed never snapshotted: take one, so every seed flips a real
+        // snapshot segment.
+        let index = ShardedIndex::open(&cfg).map_err(|e| format!("recovery failed: {e}"))?;
+        index
+            .snapshot_now()
+            .map_err(|e| format!("snapshot failed: {e}"))?;
+    }
+    let snaps = snap_files(dir)?;
+    let target = &snaps[rng.below(snaps.len() as u64) as usize];
+    let mut bytes = fs::read(target).map_err(|e| format!("read snap: {e}"))?;
+    let regions =
+        segment_regions(&bytes).ok_or_else(|| format!("{} is not a segment", target.display()))?;
+    let region = &regions[rng.below(regions.len() as u64) as usize];
+    let pos = region.start + rng.below(region.len() as u64) as usize;
+    bytes[pos] ^= 1 << rng.below(8);
+    fs::write(target, &bytes).map_err(|e| format!("write snap: {e}"))?;
+    // A snapshot is a segment, CRC-framed end to end: any flip must make
+    // recovery fail loudly rather than deliver a silently wrong index.
     match ShardedIndex::open(&cfg) {
         Err(_) => Ok(()),
         Ok(_) => Err(format!(
-            "flipped byte {pos} of {} yet recovery reported success",
+            "flipped byte {pos} (region {region:?}) of {} yet recovery reported success",
             target.display()
         )),
     }
+}
+
+/// The non-empty byte regions of a segment image, in file order: magic,
+/// block frames (absent for an empty shard), footer, trailer (its first 8
+/// bytes are the footer's offset).
+fn segment_regions(bytes: &[u8]) -> Option<Vec<std::ops::Range<usize>>> {
+    let (magic, len) = (ssj_store::segment::SEGMENT_MAGIC.len(), bytes.len());
+    let footer = bytes
+        .get(len.checked_sub(12)?..len - 4)
+        .and_then(|b| b.try_into().ok())
+        .map(u64::from_le_bytes)
+        .filter(|&f| (magic as u64..len as u64 - 12).contains(&f))? as usize;
+    let regions = [0..magic, magic..footer, footer..len - 12, len - 12..len];
+    Some(regions.into_iter().filter(|r| !r.is_empty()).collect())
 }
 
 fn scenario_stray_tmp(cp: &CrashPoint, dir: &Path) -> Scenario {
@@ -404,61 +422,21 @@ fn scenario_stray_tmp(cp: &CrashPoint, dir: &Path) -> Scenario {
 
 fn scenario_mid_spill(cp: &CrashPoint, dir: &Path) -> Scenario {
     // A crash mid-spill leaves partial partition files, and a crash
-    // mid-compaction a half-written segment; both stage through
-    // tmp-suffixed names, so recovery must sweep them aside and the
-    // segment listing must not mistake them for segments.
-    fs::write(
-        dir.join(ssj_extern::spill::partition_file_name(0)),
-        b"partial spill garbage",
-    )
-    .map_err(|e| format!("write stray spill: {e}"))?;
-    let seg_tmp = format!("{}.tmp", ssj_store::segment_file_name(42));
-    fs::write(dir.join(&seg_tmp), b"half a segment").map_err(|e| format!("write seg tmp: {e}"))?;
-    let listed = ssj_store::list_segment_files(dir).map_err(|e| format!("list segments: {e}"))?;
-    if !listed.is_empty() {
-        return Err(format!(
-            "tmp-suffixed debris was listed as {} segment(s): {listed:?}",
-            listed.len()
-        ));
-    }
-    check_recovery(cp, dir, cp.ops.len() as u64).map_err(|e| format!("mid-spill debris: {e}"))
-}
-
-/// Opens `path` as a segment and reads every block — the full set of
-/// checksums the format carries. Any undetected corruption escapes here.
-fn scan_segment(path: &Path) -> std::io::Result<()> {
-    let mut seg = ssj_extern::Segment::open_path(path)?;
-    let mut block = ssj_extern::SegmentBlock::default();
-    for idx in 0..seg.blocks().len() {
-        seg.read_block(idx, &mut block)?;
-    }
-    Ok(())
-}
-
-fn scenario_flip_segment(cp: &CrashPoint, dir: &Path, rng: &mut Rng) -> Scenario {
-    // Compact the full acked state into a real segment, then flip one bit
-    // anywhere — magic, block frames, footer, or trailer. The format is
-    // CRC-framed end to end, so every flip must be *detected* (on open or
-    // on a block read), and the corrupt segment sitting in the data dir
-    // must not disturb WAL recovery.
+    // mid-seal the first half of a snapshot segment under its stage name;
+    // both are tmp-suffixed, so recovery must sweep them aside.
+    let spill = dir.join(ssj_extern::spill::partition_file_name(0));
+    fs::write(&spill, b"partial spill garbage").map_err(|e| format!("write stray spill: {e}"))?;
     let (states, seq) = oracle_state(cp, cp.ops.len() as u64)?;
-    let path = dir.join(ssj_store::segment_file_name(seq));
-    ssj_extern::segment_from_states(&states, &path)
-        .map_err(|e| format!("segment write failed: {e}"))?;
-    scan_segment(&path).map_err(|e| format!("pristine segment failed its own scan: {e}"))?;
-    let mut bytes = fs::read(&path).map_err(|e| format!("read segment: {e}"))?;
-    let pos = rng.below(bytes.len() as u64) as usize;
-    let bit = 1u8 << rng.below(8);
-    bytes[pos] ^= bit;
-    fs::write(&path, &bytes).map_err(|e| format!("write segment: {e}"))?;
-    if scan_segment(&path).is_ok() {
-        return Err(format!(
-            "flipped byte {pos} bit {bit:#04x} of the segment yet open + full block scan \
-             reported success"
-        ));
+    let image = states[0]
+        .to_image(0, states.len(), seq)
+        .map_err(|e| format!("encode image: {e}"))?;
+    let stage = dir.join("shard-0.snap.tmp");
+    fs::write(&stage, &image[..image.len() / 2]).map_err(|e| format!("write stage: {e}"))?;
+    check_recovery(cp, dir, cp.ops.len() as u64).map_err(|e| format!("mid-spill debris: {e}"))?;
+    match [spill, stage].into_iter().find(|p| p.exists()) {
+        Some(left) => Err(format!("recovery left {} behind", left.display())),
+        None => Ok(()),
     }
-    check_recovery(cp, dir, cp.ops.len() as u64)
-        .map_err(|e| format!("corrupt segment broke recovery: {e}"))
 }
 
 /// Runs the configured sweep (or replay). Returns every divergence.
@@ -515,14 +493,13 @@ fn run_seed(seed: u64, scratch: &Path, verbose: bool, divergences: &mut Vec<Dive
     // scenario RNG is derived from the seed so replays are exact.
     let mut rng = Rng::new(seed ^ 0xC4A5_47E5);
     type ScenarioFn = Box<dyn FnMut(&CrashPoint, &Path, &mut Rng) -> Scenario>;
-    let scenarios: [(&'static str, ScenarioFn); 7] = [
+    let scenarios: [(&'static str, ScenarioFn); 6] = [
         ("clean", Box::new(|cp, d, _| scenario_clean(cp, d))),
         ("truncate", Box::new(scenario_truncate)),
         ("flip-wal", Box::new(scenario_flip_wal)),
         ("flip-snap", Box::new(scenario_flip_snap)),
         ("stray-tmp", Box::new(|cp, d, _| scenario_stray_tmp(cp, d))),
         ("mid-spill", Box::new(|cp, d, _| scenario_mid_spill(cp, d))),
-        ("flip-segment", Box::new(scenario_flip_segment)),
     ];
     for (name, mut scenario) in scenarios {
         let dir = scratch.join(name);

@@ -153,10 +153,9 @@ fn workspace_is_dur_clean() {
         report.findings
     );
     assert!(report.functions > 100, "scan looks too small to be real");
-    assert!(
-        report.counter >= 2,
-        "the canonical atomic helper and the segment seal both rename: {}",
-        report.counter
+    assert_eq!(
+        report.counter, 1,
+        "every durable file is published by the one `publish_durable` rename"
     );
 }
 
@@ -165,10 +164,10 @@ fn workspace_suppressions_are_audited() {
     let report = run(&repo_root());
     // Every suppression carries a written justification within the pinned
     // budget…
-    assert_suppression_budget(&report, 2);
-    // …and the deliberate sites stay visible, not silently absent: the
-    // segment seal stage and the spill partitions, both swept by the
-    // store-side recovery rather than by ssj-extern itself.
+    assert_suppression_budget(&report, 1);
+    // …and the deliberate site stays visible, not silently absent: the
+    // spill partitions, swept by the store-side recovery rather than by
+    // ssj-extern itself.
     assert!(
         report
             .suppressed
