@@ -19,7 +19,7 @@
 //! nothing. Violations panic — these are bugs, not recoverable states.
 
 use crate::predicate::Predicate;
-use crate::set::{ElementId, SetCollection, SetId, WeightMap};
+use crate::set::{ElementId, SetCollection, WeightMap};
 
 /// Largest collection the O(n²) candidate-completeness check will scan.
 /// Beyond this the check silently does nothing, even in debug builds.
@@ -116,13 +116,6 @@ pub fn assert_interval_cover(bounds: &[usize], max_size: usize) {
     );
 }
 
-/// Whether a [`SetId`] range check makes sense for `collection` — used by
-/// callers that want to pre-validate ids arriving from the outside.
-#[inline]
-pub fn id_in_range(collection: &SetCollection, id: SetId) -> bool {
-    (id as usize) < collection.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,12 +160,5 @@ mod tests {
     #[cfg(debug_assertions)]
     fn interval_cover_rejects_gapless_violation() {
         assert_interval_cover(&[0, 3, 3, 8], 8);
-    }
-
-    #[test]
-    fn id_range_checks() {
-        let c = SetCollection::from_sets(vec![vec![1], vec![2]]);
-        assert!(id_in_range(&c, 1));
-        assert!(!id_in_range(&c, 2));
     }
 }

@@ -106,20 +106,14 @@ impl PartEnumHamming {
         (bucket / self.params.n2, bucket % self.params.n2)
     }
 
-    /// Signature generation over arbitrary 64-bit items (sorted, distinct).
+    /// Signature generation over arbitrary 64-bit items (sorted, distinct),
+    /// with a caller-provided assignment buffer for hot paths that sign
+    /// many sets.
     ///
     /// This is the same construction as [`SignatureScheme::signatures_into`]
     /// on a wider domain; it exists so weighted schemes can replicate
     /// elements into `(element, copy)` items (Section 7's reduction) without
     /// squeezing them through the 32-bit element space.
-    pub fn signatures_for_items(&self, items: &[u64], out: &mut Vec<Signature>) {
-        // hotlint: allow(hot-scratch, fn): convenience wrapper — hot callers reuse buffers through signatures_for_items_scratch.
-        let mut assignments = Vec::new();
-        self.signatures_for_items_scratch(items, &mut assignments, out);
-    }
-
-    /// [`Self::signatures_for_items`] with a caller-provided assignment
-    /// buffer, for hot paths that sign many sets.
     ///
     /// Items are assigned `(first level, item, second level)` and sorted;
     /// because items arrive strictly ascending and the sort key leads with

@@ -225,3 +225,56 @@ fn snapshot_bytes(dir: &Path) -> u64 {
     }
     total
 }
+
+#[test]
+fn concurrent_compacts_and_cadence_snapshots_recover_to_the_acked_state() {
+    let dir = test_dir("concurrent_compact");
+    // A cadence snapshot after every write, racing explicit compacts.
+    let cfg = ServerConfig {
+        workers: 4,
+        snapshot_every: 1,
+        ..durable_cfg(&dir, SyncMode::Never)
+    };
+    let server = Server::start(cfg.clone()).expect("server starts");
+    // Oracle: every acked insert, minus every acked remove.
+    let oracle = std::sync::Mutex::new(std::collections::BTreeMap::new());
+    std::thread::scope(|s| {
+        for t in 0..4u32 {
+            let (h, oracle) = (server.handle(), &oracle);
+            s.spawn(move || {
+                for i in 0..40u32 {
+                    let elems: Vec<u32> = (0..6).map(|k| t * 10_000 + i * 10 + k).collect();
+                    let Response::Inserted { id, .. } = h.call(Request::Insert {
+                        elems: elems.clone(),
+                    }) else {
+                        panic!("insert failed")
+                    };
+                    oracle.lock().expect("oracle").insert(id, elems);
+                    if i % 3 == 0 {
+                        let removed = h.call(Request::Remove { id });
+                        assert!(matches!(removed, Response::Removed { found: true, .. }));
+                        oracle.lock().expect("oracle").remove(&id);
+                    }
+                    let compacted = h.call(Request::Compact);
+                    assert!(
+                        matches!(compacted, Response::Compacted { .. }),
+                        "{compacted:?}"
+                    );
+                }
+            });
+        }
+    });
+    server.shutdown();
+
+    let (states, _) = ShardedIndex::open(&cfg).expect("recovery succeeds").dump();
+    let n = states.len() as u64;
+    let mut recovered = std::collections::BTreeMap::new();
+    for (shard, state) in (0..n).zip(&states) {
+        for (local, elems) in &state.live {
+            recovered.insert(u64::from(*local) * n + shard, elems.clone());
+        }
+    }
+    assert_eq!(recovered, oracle.into_inner().expect("oracle"));
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -134,15 +134,6 @@ pub fn encode_record_into(record: &WalRecord, out: &mut Vec<u8>) -> io::Result<(
     Ok(())
 }
 
-/// Encodes a record payload into a fresh vector (see
-/// [`encode_record_into`]).
-pub fn encode_record(record: &WalRecord) -> io::Result<Vec<u8>> {
-    // hotlint: allow(hot-scratch, fn): convenience wrapper for tests and one-shot callers — the append path reuses a per-WAL buffer through encode_record_into.
-    let mut out = Vec::with_capacity(16);
-    encode_record_into(record, &mut out)?;
-    Ok(out)
-}
-
 /// Decodes a record payload. Fails with `InvalidData` on anything a valid
 /// writer could not have produced (unknown op tag, out-of-domain ids,
 /// trailing bytes) — a CRC-valid frame that does not decode is corruption
@@ -187,8 +178,14 @@ pub fn decode_record(payload: &[u8]) -> io::Result<WalRecord> {
 mod tests {
     use super::*;
 
+    fn encode(record: &WalRecord) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        encode_record_into(record, &mut bytes).unwrap();
+        bytes
+    }
+
     fn roundtrip(record: WalRecord) {
-        let bytes = encode_record(&record).unwrap();
+        let bytes = encode(&record);
         assert_eq!(decode_record(&bytes).unwrap(), record);
     }
 
@@ -227,7 +224,7 @@ mod tests {
             seq: 1,
             op: WalOp::Remove { shard: 0, local: 0 },
         };
-        let mut bytes = encode_record(&record).unwrap();
+        let mut bytes = encode(&record);
         bytes[0] = 0x7F;
         assert!(decode_record(&bytes).is_err());
     }
@@ -238,7 +235,7 @@ mod tests {
             seq: 1,
             op: WalOp::Remove { shard: 0, local: 0 },
         };
-        let mut bytes = encode_record(&record).unwrap();
+        let mut bytes = encode(&record);
         bytes.push(0);
         assert!(decode_record(&bytes).is_err());
     }
@@ -252,7 +249,7 @@ mod tests {
                 set: vec![10, 20, 30],
             },
         };
-        let bytes = encode_record(&record).unwrap();
+        let bytes = encode(&record);
         for cut in 0..bytes.len() {
             assert!(decode_record(&bytes[..cut]).is_err(), "cut at {cut}");
         }

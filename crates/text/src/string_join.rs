@@ -23,7 +23,6 @@ use ssj_core::join::{self_join, JoinOptions};
 use ssj_core::partenum::{optimize_hamming, PartEnumHamming, PartEnumParams};
 use ssj_core::predicate::Predicate;
 use ssj_core::set::{ElementId, SetCollection};
-use ssj_core::signature::SignatureScheme;
 use ssj_core::stats::JoinStats;
 use std::time::Instant;
 
@@ -172,20 +171,6 @@ fn optimize_partenum_params(collection: &SetCollection, k: usize, seed: u64) -> 
 /// benchmark harness).
 pub fn gram_collection(strings: &[String], gram: usize) -> SetCollection {
     strings.iter().map(|s| qgram_set(s, gram)).collect()
-}
-
-/// Signature count a scheme would generate on the gram collection — used by
-/// the harness to report the Section 3.2 measures per scheme without running
-/// a full join.
-pub fn count_signatures(scheme: &impl SignatureScheme, collection: &SetCollection) -> u64 {
-    let mut buf = Vec::new();
-    let mut total = 0u64;
-    for (_, set) in collection.iter() {
-        buf.clear();
-        scheme.signatures_into(set, &mut buf);
-        total += buf.len() as u64;
-    }
-    total
 }
 
 #[cfg(test)]

@@ -3,7 +3,8 @@
 //!
 //! The concurrent subsystem (`ssj-serve` + `ssj-store`) follows one
 //! canonical lock order: per-shard `shard-index` locks in ascending shard
-//! order first, then the `store-wal` mutex. The runtime lock witness
+//! order first, then the `snapshot-publish` mutex, then the `store-wal`
+//! mutex. The runtime lock witness
 //! (`ssj_core::lockwitness`) checks that order exactly on every debug
 //! acquisition; this pass checks it *conservatively* over all source —
 //! the same signature→verify split the paper applies to joins: a cheap
@@ -61,7 +62,8 @@ pub const SUPPRESSIBLE_RULES: [&str; 5] = [
 ];
 
 /// One lock class in the canonical order (mirrors
-/// `ssj_core::lockwitness`: `shard-index` rank 0, `store-wal` rank 10).
+/// `ssj_core::lockwitness`: `shard-index` rank 0, `snapshot-publish` rank 5,
+/// `store-wal` rank 10).
 #[derive(Debug, Clone, Copy)]
 pub struct LockClassDef {
     /// Class name as reported in findings.
@@ -74,11 +76,16 @@ pub struct LockClassDef {
 }
 
 /// The workspace lock registry, in rank order.
-pub const CLASSES: [LockClassDef; 2] = [
+pub const CLASSES: [LockClassDef; 3] = [
     LockClassDef {
         name: "shard-index",
         rank: 0,
         multi_instance: true,
+    },
+    LockClassDef {
+        name: "snapshot-publish",
+        rank: 5,
+        multi_instance: false,
     },
     LockClassDef {
         name: "store-wal",
@@ -88,7 +95,8 @@ pub const CLASSES: [LockClassDef; 2] = [
 ];
 
 const SHARD_INDEX: usize = 0;
-const STORE_WAL: usize = 1;
+const SNAPSHOT_PUBLISH: usize = 1;
+const STORE_WAL: usize = 2;
 
 /// The lock-site registry: how each named lock is acquired in source.
 /// Field-qualified method chains match at the dot; the canonical
@@ -97,6 +105,7 @@ const STORE_WAL: usize = 1;
 pub const LOCK_SITES: &[(&str, Kind)] = &[
     (".index.read(", acquire(SHARD_INDEX, "read")),
     (".index.write(", acquire(SHARD_INDEX, "write")),
+    (".publishing.lock(", acquire(SNAPSHOT_PUBLISH, "lock")),
     (".wal.lock(", acquire(STORE_WAL, "lock")),
     ("lock_all_read", acquire(SHARD_INDEX, "read")),
     ("lock_owner_write", acquire(SHARD_INDEX, "write")),
