@@ -19,7 +19,7 @@
 //! nothing. Violations panic — these are bugs, not recoverable states.
 
 use crate::predicate::Predicate;
-use crate::set::{ElementId, SetCollection, WeightMap};
+use crate::set::{ElementId, SetCollection, SetId, WeightMap};
 
 /// Largest collection the O(n²) candidate-completeness check will scan.
 /// Beyond this the check silently does nothing, even in debug builds.
@@ -34,13 +34,26 @@ pub fn assert_canonical(set: &[ElementId]) {
     );
 }
 
-/// Asserts (debug only, small inputs only) that the encoded candidate pairs
-/// of a **self-join** form a superset of the true result under `pred`.
+/// Whether `b` is among set `a`'s partners in the partner-list layout of
+/// [`crate::partners`]: `partners[offsets[a]..offsets[a + 1]]`, ascending.
+fn has_partner(offsets: &[usize], partners: &[SetId], a: usize, b: SetId) -> bool {
+    offsets.get(a + 1).is_some_and(|&end| {
+        partners
+            .get(offsets[a]..end)
+            .is_some_and(|list| list.binary_search(&b).is_ok())
+    })
+}
+
+/// Asserts (debug only, small inputs only) that the candidate partner
+/// lists of a **self-join** form a superset of the true result under
+/// `pred`.
 ///
-/// `encoded` holds `(a << 32) | b` pairs with `a < b`, sorted ascending —
-/// exactly what the join driver's candidate generation produces.
+/// Set `a`'s candidates are `partners[offsets[a]..offsets[a + 1]]`: its
+/// partners above `a`, ascending — exactly what the join driver's
+/// candidate generation produces.
 pub fn assert_self_candidates_complete(
-    encoded: &[u64],
+    offsets: &[usize],
+    partners: &[SetId],
     collection: &SetCollection,
     pred: Predicate,
     weights: Option<&WeightMap>,
@@ -52,9 +65,8 @@ pub fn assert_self_candidates_complete(
         for b in (a + 1)..collection.len() {
             let (ia, ib) = (crate::cast::set_id(a), crate::cast::set_id(b));
             if pred.evaluate(collection.set(ia), collection.set(ib), weights) {
-                let key = (u64::from(ia) << 32) | u64::from(ib);
                 assert!(
-                    encoded.binary_search(&key).is_ok(),
+                    has_partner(offsets, partners, a, ib),
                     "exact scheme dropped true pair ({ia}, {ib}) under {pred:?}: \
                      candidate set is not a superset of the result"
                 );
@@ -63,10 +75,12 @@ pub fn assert_self_candidates_complete(
     }
 }
 
-/// Asserts (debug only, small inputs only) that the encoded candidate pairs
-/// of a **binary join** `R ⋈ S` form a superset of the true result.
+/// Asserts (debug only, small inputs only) that the candidate partner
+/// lists of a **binary join** `R ⋈ S` (each R set's S partners) form a
+/// superset of the true result.
 pub fn assert_binary_candidates_complete(
-    encoded: &[u64],
+    offsets: &[usize],
+    partners: &[SetId],
     r: &SetCollection,
     s: &SetCollection,
     pred: Predicate,
@@ -82,9 +96,8 @@ pub fn assert_binary_candidates_complete(
         for b in 0..s.len() {
             let (ia, ib) = (crate::cast::set_id(a), crate::cast::set_id(b));
             if pred.evaluate(r.set(ia), s.set(ib), weights) {
-                let key = (u64::from(ia) << 32) | u64::from(ib);
                 assert!(
-                    encoded.binary_search(&key).is_ok(),
+                    has_partner(offsets, partners, a, ib),
                     "exact scheme dropped true pair ({ia}, {ib}) under {pred:?}: \
                      candidate set is not a superset of the result"
                 );
@@ -137,9 +150,13 @@ mod tests {
     #[test]
     fn completeness_passes_for_true_superset() {
         let c = SetCollection::from_sets(vec![vec![1, 2, 3], vec![1, 2, 3, 4], vec![9]]);
-        // (0,1) is the only jaccard-0.7 pair; encode it plus one extra.
-        let encoded = vec![1u64, (2u64 << 32) | 9];
-        assert_self_candidates_complete(&encoded, &c, Predicate::Jaccard { gamma: 0.7 }, None);
+        // (0,1) is the only jaccard-0.7 pair; list it plus one extra (0,2).
+        let (offsets, partners) = (vec![0, 2, 2, 2], vec![1, 2]);
+        let pred = Predicate::Jaccard { gamma: 0.7 };
+        assert_self_candidates_complete(&offsets, &partners, &c, pred, None);
+        // As R ⋈ S with R = S every set also matches itself.
+        let (offsets, partners) = (vec![0, 2, 4, 5], vec![0, 1, 0, 1, 2]);
+        assert_binary_candidates_complete(&offsets, &partners, &c, &c, pred, None);
     }
 
     #[test]
@@ -147,7 +164,32 @@ mod tests {
     #[cfg(debug_assertions)]
     fn completeness_catches_dropped_pair() {
         let c = SetCollection::from_sets(vec![vec![1, 2, 3], vec![1, 2, 3, 4], vec![9]]);
-        assert_self_candidates_complete(&[], &c, Predicate::Jaccard { gamma: 0.7 }, None);
+        // Set 0 lists only set 2: the true pair (0,1) is missing.
+        let (offsets, partners) = (vec![0, 1, 1, 1], vec![2]);
+        assert_self_candidates_complete(
+            &offsets,
+            &partners,
+            &c,
+            Predicate::Jaccard { gamma: 0.7 },
+            None,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "not a superset")]
+    #[cfg(debug_assertions)]
+    fn binary_completeness_catches_dropped_pair() {
+        let c = SetCollection::from_sets(vec![vec![1, 2, 3], vec![1, 2, 3, 4], vec![9]]);
+        // R set 1 lists only S set 1; the true pair (1,0) is missing.
+        let (offsets, partners) = (vec![0, 2, 3, 4], vec![0, 1, 1, 2]);
+        assert_binary_candidates_complete(
+            &offsets,
+            &partners,
+            &c,
+            &c,
+            Predicate::Jaccard { gamma: 0.7 },
+            None,
+        );
     }
 
     #[test]

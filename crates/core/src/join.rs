@@ -4,21 +4,36 @@
 //! identity scheme, LSH — plugs its [`SignatureScheme`] into this one driver,
 //! which executes the scheme-independent steps:
 //!
-//! 1–2. generate signatures for each input set,
-//! 3.   find all pairs whose signature sets overlap (a hash "join" on the
-//!      signature value), and
-//! 4.   post-filter candidates with the actual predicate.
+//! 1–2. generate signatures for each input set, as flat `(signature, set)`
+//!      records (each set's signatures sorted and deduplicated);
+//! 3.   group the records by signature: radix-partition them by signature
+//!      bits, sort each partition, and keep every run of equal signatures
+//!      that holds a pair as a bucket — its members in ascending set order.
+//!      The buckets become per-set partner lists through the shared
+//!      count → prefix sum → fill → dedup kernel of [`crate::partners`]
+//!      (the one `ssj-extern` runs per spill partition);
+//! 4.   walk the sets in ascending order and each set's partners in
+//!      ascending order, and post-filter every candidate with the actual
+//!      predicate (bitmap bound first, then the exact merge).
 //!
-//! The driver is instrumented with the Section 3.2 measures (see
-//! [`crate::stats::JoinStats`]) and optionally parallelizes signature
-//! generation, candidate sharding, and verification across threads.
+//! The walk visits candidates in ascending `(a, b)` order, so the output
+//! is sorted without a pair sort. The driver is instrumented with the
+//! Section 3.2 measures (see [`crate::stats::JoinStats`]) and with
+//! `threads > 1` runs every step on scoped workers: each signs a range of
+//! sets, then owns a range of partitions and sorts only those, and the
+//! verify walk splits the sets into ranges with about equal partner
+//! totals.
 
-use crate::hash::FxHashMap;
+use crate::partners::{
+    count_bucket_partners, count_cross_partners, dedup_partner_lists, fill_bucket_partners,
+    fill_cross_partners,
+};
 use crate::predicate::Predicate;
 use crate::set::{SetCollection, SetId, WeightMap};
 use crate::signature::{Signature, SignatureScheme};
 use crate::stats::JoinStats;
 use crate::verify::{BitmapIndex, BitmapVerifier, ExactVerifier, Verifier};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Execution options for the join driver.
@@ -82,6 +97,21 @@ pub struct JoinResult {
     pub approximate: bool,
 }
 
+/// Fewest input sets for which signing and grouping use more than one
+/// thread.
+const PARALLEL_MIN_SETS: usize = 1024;
+/// Fewest candidates for which the verify walk uses more than one thread.
+const PARALLEL_MIN_CANDIDATES: usize = 4096;
+/// Records per radix partition the grouping aims for, so that sorting
+/// one partition stays in cache.
+const PARTITION_RECORDS: usize = 4096;
+/// Most radix bits (4096 partitions).
+const MAX_PARTITION_BITS: u32 = 12;
+
+/// One signature occurrence: `(signature, set)`. Sorted records group
+/// equal signatures into runs whose members ascend.
+type SigRecord = (Signature, SetId);
+
 /// Unwraps a scoped worker's result, forwarding a worker panic to the
 /// caller's thread instead of swallowing it.
 fn join_worker<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
@@ -91,223 +121,417 @@ fn join_worker<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
     }
 }
 
-/// Flattened per-set signatures: `sigs[offsets[i]..offsets[i+1]]` belong to
-/// set `i`. Signatures are sorted and deduplicated per set, so bucket
-/// membership is unique per (signature, set).
-struct SignatureTable {
-    sigs: Vec<Signature>,
-    offsets: Vec<u64>,
-}
-
-impl SignatureTable {
-    fn total(&self) -> u64 {
-        self.sigs.len() as u64
+/// Runs `task` on every item, on one scoped thread per item when there
+/// are several, and returns the results in item order.
+fn on_each<I: Send, T: Send>(items: Vec<I>, task: impl Fn(I) -> T + Sync) -> Vec<T> {
+    if items.len() <= 1 {
+        return items.into_iter().map(task).collect();
     }
-
-    fn of(&self, id: usize) -> &[Signature] {
-        let lo = crate::cast::usize_of_u64(self.offsets[id]);
-        let hi = crate::cast::usize_of_u64(self.offsets[id + 1]);
-        &self.sigs[lo..hi]
-    }
-}
-
-/// Generates signatures for every set, in parallel chunks.
-fn generate_signatures(
-    scheme: &impl SignatureScheme,
-    collection: &SetCollection,
-    threads: usize,
-) -> SignatureTable {
-    let n = collection.len();
-    if threads <= 1 || n < 1024 {
-        let mut sigs = Vec::new();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        let mut buf = Vec::new();
-        let mut scratch = crate::signature::SigScratch::default();
-        for (_, set) in collection.iter() {
-            buf.clear();
-            scheme.signatures_scratch(set, &mut scratch, &mut buf);
-            buf.sort_unstable();
-            buf.dedup();
-            sigs.extend_from_slice(&buf);
-            offsets.push(sigs.len() as u64);
-        }
-        return SignatureTable { sigs, offsets };
-    }
-
-    let chunk = n.div_ceil(threads);
-    let parts: Vec<(Vec<Signature>, Vec<u64>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let lo = t * chunk;
-                let hi = ((t + 1) * chunk).min(n);
-                scope.spawn(move || {
-                    let mut sigs = Vec::new();
-                    // Per-set signature counts within this chunk.
-                    let mut counts = Vec::with_capacity(hi.saturating_sub(lo));
-                    let mut buf = Vec::new();
-                    let mut scratch = crate::signature::SigScratch::default();
-                    for id in lo..hi {
-                        buf.clear();
-                        scheme.signatures_scratch(
-                            collection.set(crate::cast::set_id(id)),
-                            &mut scratch,
-                            &mut buf,
-                        );
-                        buf.sort_unstable();
-                        buf.dedup();
-                        sigs.extend_from_slice(&buf);
-                        counts.push(buf.len() as u64);
-                    }
-                    (sigs, counts)
-                })
-            })
+    let task = &task;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .into_iter()
+            .map(|item| scope.spawn(move || task(item)))
             .collect();
         handles.into_iter().map(join_worker).collect()
-    });
-
-    let mut sigs = Vec::with_capacity(parts.iter().map(|(s, _)| s.len()).sum());
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0);
-    let mut total = 0u64;
-    for (part_sigs, counts) in parts {
-        for c in counts {
-            total += c;
-            offsets.push(total);
-        }
-        sigs.extend_from_slice(&part_sigs);
-    }
-    SignatureTable { sigs, offsets }
+    })
 }
 
-/// Self-join candidate generation: returns `(encoded pairs, collisions)`.
-/// Pairs are encoded `(min << 32) | max` and deduplicated.
-fn self_candidates(table: &SignatureTable, n: usize, threads: usize) -> (Vec<u64>, u64) {
-    fn bucket_pairs(map: FxHashMap<Signature, Vec<SetId>>) -> (Vec<u64>, u64) {
-        let mut pairs: Vec<u64> = Vec::new();
-        let mut collisions = 0u64;
-        // Amortized in-place dedup keeps peak memory near 2× the number of
-        // *distinct* candidates instead of the raw collision count (the two
-        // differ by the average signatures shared per pair).
-        let mut dedup_at = 1 << 20;
-        for (_, ids) in map {
-            let c = ids.len() as u64;
-            if c < 2 {
-                continue;
-            }
-            collisions += c * (c - 1) / 2;
-            for i in 0..ids.len() {
-                for j in i + 1..ids.len() {
-                    let (a, b) = (ids[i], ids[j]);
-                    pairs.push(((a as u64) << 32) | b as u64);
-                }
-            }
-            if pairs.len() >= dedup_at {
-                pairs.sort_unstable();
-                pairs.dedup();
-                dedup_at = (pairs.len() * 2).max(1 << 20);
-            }
-        }
-        (pairs, collisions)
-    }
-
-    let (mut pairs, collisions) = if threads <= 1 {
-        let mut map: FxHashMap<Signature, Vec<SetId>> = FxHashMap::default();
-        for id in 0..n {
-            for &sig in table.of(id) {
-                map.entry(sig).or_default().push(crate::cast::set_id(id));
-            }
-        }
-        bucket_pairs(map)
+/// Worker count for a step over `sets` input sets.
+fn workers_for(threads: usize, sets: usize) -> usize {
+    if threads <= 1 || sets < PARALLEL_MIN_SETS {
+        1
     } else {
-        let shards = threads as u64;
-        let results: Vec<(Vec<u64>, u64)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|shard| {
-                    scope.spawn(move || {
-                        let mut map: FxHashMap<Signature, Vec<SetId>> = FxHashMap::default();
-                        for id in 0..n {
-                            for &sig in table.of(id) {
-                                if sig % shards == shard {
-                                    map.entry(sig).or_default().push(crate::cast::set_id(id));
-                                }
-                            }
-                        }
-                        bucket_pairs(map)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(join_worker).collect()
-        });
-        let mut pairs = Vec::new();
-        let mut collisions = 0;
-        for (p, c) in results {
-            pairs.extend_from_slice(&p);
-            collisions += c;
-        }
-        (pairs, collisions)
-    };
-    pairs.sort_unstable();
-    pairs.dedup();
-    (pairs, collisions)
+        threads
+    }
 }
 
-/// Binary-join candidate generation: index S, probe R.
-fn binary_candidates(
-    table_r: &SignatureTable,
-    table_s: &SignatureTable,
-    nr: usize,
-    ns: usize,
-) -> (Vec<u64>, u64) {
-    let mut index: FxHashMap<Signature, Vec<SetId>> = FxHashMap::default();
-    for id in 0..ns {
-        for &sig in table_s.of(id) {
-            index.entry(sig).or_default().push(crate::cast::set_id(id));
+/// `0..len` cut into `parts` contiguous ranges of near-equal length.
+fn even_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
+    (0..parts)
+        .map(|i| len * i / parts..len * (i + 1) / parts)
+        .collect()
+}
+
+/// Radix bits for `records` records: about [`PARTITION_RECORDS`] per
+/// partition, at least two partitions.
+fn partition_bits(records: usize) -> u32 {
+    (usize::BITS - (records / PARTITION_RECORDS).leading_zeros()).clamp(1, MAX_PARTITION_BITS)
+}
+
+/// The partition of `sig` under `bits` radix bits: the top bits of a
+/// Fibonacci hash, so signatures that are small integers (the identity
+/// scheme's) spread as evenly as hashed ones.
+#[inline]
+fn partition_of(sig: Signature, bits: u32) -> usize {
+    crate::cast::usize_of_u64(sig.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits))
+}
+
+/// One worker's signature records, permuted so each radix partition is
+/// contiguous: partition `p` is `records[starts[p]..starts[p + 1]]`.
+struct Partitioned {
+    records: Vec<SigRecord>,
+    starts: Vec<usize>,
+}
+
+/// Steps 1–2 for the sets in `ids`: one record per distinct signature of
+/// each set, in set order.
+fn sign_range(
+    scheme: &impl SignatureScheme,
+    collection: &SetCollection,
+    ids: Range<usize>,
+) -> Vec<SigRecord> {
+    let mut records = Vec::new();
+    let mut buf = Vec::new();
+    let mut scratch = crate::signature::SigScratch::default();
+    for id in ids {
+        let id = crate::cast::set_id(id);
+        buf.clear();
+        scheme.signatures_scratch(collection.set(id), &mut scratch, &mut buf);
+        buf.sort_unstable();
+        buf.dedup();
+        records.extend(buf.iter().map(|&sig| (sig, id)));
+    }
+    records
+}
+
+/// Permutes `records` in place so that each of the `2^bits` radix
+/// partitions is contiguous (one digit of an American flag sort) and
+/// returns the partition starts, `2^bits + 1` of them.
+fn partition_records(records: &mut [SigRecord], bits: u32) -> Vec<usize> {
+    let parts = 1usize << bits;
+    let mut starts = vec![0usize; parts + 1];
+    for &(sig, _) in records.iter() {
+        starts[partition_of(sig, bits) + 1] += 1;
+    }
+    for p in 0..parts {
+        starts[p + 1] += starts[p];
+    }
+    let mut heads = starts[..parts].to_vec();
+    for p in 0..parts {
+        while heads[p] < starts[p + 1] {
+            let mut record = records[heads[p]];
+            let mut dest = partition_of(record.0, bits);
+            while dest != p {
+                std::mem::swap(&mut record, &mut records[heads[dest]]);
+                heads[dest] += 1;
+                dest = partition_of(record.0, bits);
+            }
+            records[heads[p]] = record;
+            heads[p] += 1;
         }
     }
-    let mut pairs: Vec<u64> = Vec::new();
-    let mut collisions = 0u64;
-    let mut dedup_at = 1 << 20;
-    for r in 0..nr {
-        for &sig in table_r.of(r) {
-            if let Some(ids) = index.get(&sig) {
-                collisions += ids.len() as u64;
-                for &s in ids {
-                    pairs.push(((r as u64) << 32) | s as u64);
-                }
+    starts
+}
+
+/// Steps 1–2 on `workers` threads, each signing a range of sets.
+fn sign_records(
+    scheme: &impl SignatureScheme,
+    collection: &SetCollection,
+    workers: usize,
+) -> Vec<Vec<SigRecord>> {
+    on_each(even_ranges(collection.len(), workers), |ids| {
+        sign_range(scheme, collection, ids)
+    })
+}
+
+/// Total records: the signatures of every set, each counted once per set.
+fn record_count(chunks: &[Vec<SigRecord>]) -> u64 {
+    chunks.iter().map(|c| c.len() as u64).sum()
+}
+
+/// Radix-partitions every worker's records in place, each on its own
+/// thread.
+fn partition_chunks(chunks: Vec<Vec<SigRecord>>, bits: u32) -> Vec<Partitioned> {
+    on_each(chunks, |mut records| {
+        let starts = partition_records(&mut records, bits);
+        Partitioned { records, starts }
+    })
+}
+
+/// Copies partition `p` of every worker's records into `out`.
+fn gather_partition(chunks: &[Partitioned], p: usize, out: &mut Vec<SigRecord>) {
+    out.clear();
+    for chunk in chunks {
+        out.extend_from_slice(&chunk.records[chunk.starts[p]..chunk.starts[p + 1]]);
+    }
+}
+
+/// The buckets one grouping worker kept: bucket `i` is
+/// `members[ends[i]..ends[i + 1]]` (`ends[0] = 0`). An R–S bucket takes
+/// two consecutive ranges: its R members, then its S members.
+struct Runs {
+    members: Vec<SetId>,
+    ends: Vec<usize>,
+}
+
+impl Runs {
+    fn new() -> Self {
+        Self {
+            members: Vec::new(),
+            ends: vec![0],
+        }
+    }
+
+    fn push_run(&mut self, run: &[SigRecord]) {
+        self.members.extend(run.iter().map(|&(_, id)| id));
+        self.ends.push(self.members.len());
+    }
+
+    fn self_buckets(&self) -> impl Iterator<Item = &[SetId]> + '_ {
+        self.ends.windows(2).map(|w| &self.members[w[0]..w[1]])
+    }
+
+    fn cross_buckets(&self) -> impl Iterator<Item = (&[SetId], &[SetId])> + '_ {
+        self.ends
+            .windows(3)
+            .step_by(2)
+            .map(|w| (&self.members[w[0]..w[1]], &self.members[w[1]..w[2]]))
+    }
+}
+
+/// Step 3 for one worker of a self-join: sorts each partition in `parts`
+/// and keeps every run of two or more equal signatures.
+fn self_runs(chunks: &[Partitioned], parts: Range<usize>) -> Runs {
+    let mut runs = Runs::new();
+    let mut records = Vec::new();
+    for p in parts {
+        gather_partition(chunks, p, &mut records);
+        records.sort_unstable();
+        for run in records.chunk_by(|a, b| a.0 == b.0) {
+            if run.len() >= 2 {
+                runs.push_run(run);
             }
         }
-        if pairs.len() >= dedup_at {
-            pairs.sort_unstable();
-            pairs.dedup();
-            dedup_at = (pairs.len() * 2).max(1 << 20);
+    }
+    runs
+}
+
+/// Step 3 for one worker of an R–S join: sorts each side of each
+/// partition in `parts` and keeps every signature run present on both.
+fn cross_runs(r: &[Partitioned], s: &[Partitioned], parts: Range<usize>) -> Runs {
+    let mut runs = Runs::new();
+    let (mut r_records, mut s_records) = (Vec::new(), Vec::new());
+    for p in parts {
+        gather_partition(r, p, &mut r_records);
+        gather_partition(s, p, &mut s_records);
+        r_records.sort_unstable();
+        s_records.sort_unstable();
+        let mut s_runs = s_records.chunk_by(|a, b| a.0 == b.0).peekable();
+        for r_run in r_records.chunk_by(|a, b| a.0 == b.0) {
+            let sig = r_run[0].0;
+            while s_runs.next_if(|s_run| s_run[0].0 < sig).is_some() {}
+            if let Some(s_run) = s_runs.next_if(|s_run| s_run[0].0 == sig) {
+                runs.push_run(r_run);
+                runs.push_run(s_run);
+            }
         }
     }
-    pairs.sort_unstable();
-    pairs.dedup();
-    (pairs, collisions)
+    runs
 }
 
-/// Decodes a `(min << 32) | max` candidate pair into its set ids.
+/// Deduplicated candidates: set `a`'s partners are
+/// `partners[offsets[a]..offsets[a + 1]]`, ascending — for a self-join
+/// only partners above `a`, for an R–S join the S sets it collides with.
+struct PartnerLists {
+    offsets: Vec<usize>,
+    partners: Vec<SetId>,
+    /// Σ over buckets of the pairs they hold (the Section 3.2 collisions).
+    collisions: u64,
+}
+
+impl PartnerLists {
+    /// Count → prefix sum → fill → dedup over every worker's runs, for
+    /// `sets` left-side sets.
+    fn from_runs(runs: Vec<Runs>, sets: usize, cross: bool) -> Self {
+        let mut offsets = vec![0usize; sets + 1];
+        for worker in &runs {
+            let counted = if cross {
+                count_cross_partners(worker.cross_buckets(), &mut offsets[..sets])
+            } else {
+                count_bucket_partners(worker.self_buckets(), &mut offsets[..sets])
+            };
+            debug_assert!(counted.is_some(), "a bucket names a set past the input");
+        }
+        let mut total = 0usize;
+        for offset in &mut offsets {
+            let count = *offset;
+            *offset = total;
+            total += count;
+        }
+        let mut partners = vec![0; total];
+        for worker in &runs {
+            if cross {
+                fill_cross_partners(worker.cross_buckets(), &mut offsets[..sets], &mut partners);
+            } else {
+                fill_bucket_partners(worker.self_buckets(), &mut offsets[..sets], &mut partners);
+            }
+        }
+        dedup_partner_lists(&mut offsets, &mut partners);
+        Self {
+            offsets,
+            partners,
+            collisions: total as u64,
+        }
+    }
+
+    /// Every candidate pair, in ascending order.
+    fn listed_pairs(&self) -> Vec<(SetId, SetId)> {
+        let mut pairs = Vec::with_capacity(self.partners.len());
+        for a in 0..self.offsets.len() - 1 {
+            let id = crate::cast::set_id(a);
+            let list = &self.partners[self.offsets[a]..self.offsets[a + 1]];
+            pairs.extend(list.iter().map(|&b| (id, b)));
+        }
+        pairs
+    }
+}
+
+/// Step 3 of either join: groups the partitioned records on `workers`
+/// threads, each owning a range of the `2^bits` partitions. `s` is
+/// `None` for a self-join. The records are freed on return, before the
+/// partner lists are built.
+fn group_runs(
+    r: Vec<Partitioned>,
+    s: Option<Vec<Partitioned>>,
+    bits: u32,
+    workers: usize,
+) -> Vec<Runs> {
+    let parts = even_ranges(1 << bits, workers);
+    match &s {
+        None => on_each(parts, |range| self_runs(&r, range)),
+        Some(s) => on_each(parts, |range| cross_runs(&r, s, range)),
+    }
+}
+
+/// Step 4 over the sets in `sets`: verifies each set's partners in order
+/// and hands every accepted pair to `keep`.
 #[inline]
-fn decode_pair(encoded: u64) -> (SetId, SetId) {
-    (
-        crate::cast::set_id_u64(encoded >> 32),
-        crate::cast::set_id_u64(encoded & 0xffff_ffff),
-    )
+fn verify_sets<V: Verifier>(
+    sets: Range<usize>,
+    offsets: &[usize],
+    partners: &[SetId],
+    left: &SetCollection,
+    right: &SetCollection,
+    verifier: &V,
+    mut keep: impl FnMut((SetId, SetId)),
+) {
+    for a in sets {
+        let id = crate::cast::set_id(a);
+        let set = left.set(id);
+        for &b in &partners[offsets[a]..offsets[a + 1]] {
+            if verifier.verify_pair(id, b, set, right.set(b)) {
+                keep((id, b));
+            }
+        }
+    }
 }
 
-/// Post-filters encoded candidate pairs with a [`Verifier`], writing the
-/// surviving pairs into the caller-provided `out` (cleared first).
+/// The parallel half of step 4. Worker `w` of `workers` owns
+/// `out[bound(w)..bound(w + 1)]` (`bound(workers)` is the candidate
+/// total), writes the pairs it keeps to the front of that range with
+/// `verify_piece`, and returns how many; one pass then packs the kept
+/// prefixes together. Workers never build intermediate result vectors.
+fn verify_pieces_into(
+    workers: usize,
+    bound: impl Fn(usize) -> usize,
+    out: &mut Vec<(SetId, SetId)>,
+    verify_piece: impl Fn(usize, &mut [(SetId, SetId)]) -> usize + Sync,
+) {
+    out.resize(bound(workers), (0, 0));
+    let verify_piece = &verify_piece;
+    let counts: Vec<usize> = std::thread::scope(|scope| {
+        let mut rest = out.as_mut_slice();
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let (dst, tail) = std::mem::take(&mut rest).split_at_mut(bound(w + 1) - bound(w));
+                rest = tail;
+                scope.spawn(move || verify_piece(w, dst))
+            })
+            // hotlint: allow(hot-alloc): one handle per worker thread — bounded by the thread count, not the candidate count.
+            .collect();
+        // hotlint: allow(hot-alloc): one count per worker thread — bounded by the thread count, not the candidate count.
+        handles.into_iter().map(join_worker).collect()
+    });
+    let mut write = 0;
+    for (w, &kept) in counts.iter().enumerate() {
+        out.copy_within(bound(w)..bound(w) + kept, write);
+        write += kept;
+    }
+    out.truncate(write);
+}
+
+/// Step 4 over partner lists: walks the sets `a` in ascending order and
+/// each one's partners `b` — `partners[offsets[a]..offsets[a + 1]]`,
+/// ascending — in order, and writes the pairs `verifier` accepts into
+/// the caller-provided `out` (cleared first). The output is therefore in
+/// ascending `(a, b)` order.
+///
+/// With `threads > 1` and enough candidates, the sets are split into
+/// `threads` ranges with about equal partner totals. Allocates nothing
+/// per candidate at `threads: 1` (pinned by `tests/alloc_witness.rs`
+/// with both verifier flavors).
+pub fn verify_partner_lists_into<V: Verifier>(
+    offsets: &[usize],
+    partners: &[SetId],
+    left: &SetCollection,
+    right: &SetCollection,
+    verifier: &V,
+    threads: usize,
+    out: &mut Vec<(SetId, SetId)>,
+) {
+    out.clear();
+    let sets = offsets.len().saturating_sub(1);
+    if threads <= 1 || partners.len() < PARALLEL_MIN_CANDIDATES {
+        verify_sets(0..sets, offsets, partners, left, right, verifier, |p| {
+            out.push(p)
+        });
+        return;
+    }
+    let total = partners.len();
+    // First set of worker `w`'s range: the first whose list starts at or
+    // past `w / threads` of the candidates.
+    let cut = |w: usize| {
+        if w == threads {
+            sets
+        } else {
+            offsets[..sets].partition_point(|&o| o < total * w / threads)
+        }
+    };
+    verify_pieces_into(
+        threads,
+        |w| offsets[cut(w)],
+        out,
+        |w, dst| {
+            let mut kept = 0;
+            verify_sets(
+                cut(w)..cut(w + 1),
+                offsets,
+                partners,
+                left,
+                right,
+                verifier,
+                |p| {
+                    dst[kept] = p;
+                    kept += 1;
+                },
+            );
+            kept
+        },
+    );
+}
+
+/// Post-filters encoded `(a << 32) | b` candidate pairs with a
+/// [`Verifier`], writing the surviving pairs into the caller-provided
+/// `out` (cleared first), in input order.
 ///
 /// The verifier decides each pair ([`ExactVerifier`] for the plain
 /// predicate path, [`BitmapVerifier`] for the bound-then-merge fast
 /// path — both produce identical output). The parallel path writes
 /// survivors directly into disjoint chunks of `out` and compacts them in
-/// place, so verification allocates nothing per candidate pair — workers
-/// never build intermediate result vectors (the counting-allocator
-/// witness in `tests/alloc_witness.rs` pins this for the sequential path,
-/// with both verifier flavors).
+/// place, so verification allocates nothing per candidate pair (the
+/// counting-allocator witness in `tests/alloc_witness.rs` pins this for
+/// the sequential path, with both verifier flavors).
 pub fn verify_pairs_into<V: Verifier>(
     pairs: &[u64],
     left: &SetCollection,
@@ -318,49 +542,31 @@ pub fn verify_pairs_into<V: Verifier>(
 ) {
     out.clear();
     let check = |encoded: u64| -> Option<(SetId, SetId)> {
-        let (a, b) = decode_pair(encoded);
+        let a = crate::cast::set_id_u64(encoded >> 32);
+        let b = crate::cast::set_id_u64(encoded & 0xffff_ffff);
         verifier
             .verify_pair(a, b, left.set(a), right.set(b))
             .then_some((a, b))
     };
-    if threads <= 1 || pairs.len() < 4096 {
+    if threads <= 1 || pairs.len() < PARALLEL_MIN_CANDIDATES {
         out.extend(pairs.iter().filter_map(|&p| check(p)));
         return;
     }
-    // Each worker compacts its chunk's survivors into the chunk's prefix of
-    // `out`; the single-threaded pass below packs the prefixes together.
     let chunk = pairs.len().div_ceil(threads);
-    out.resize(pairs.len(), (0, 0));
-    let check = &check;
-    let counts: Vec<usize> = std::thread::scope(|scope| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk)
-            .zip(out.chunks_mut(chunk))
-            .map(|(src, dst)| {
-                scope.spawn(move || {
-                    let mut kept = 0;
-                    for &p in src {
-                        if let Some(pair) = check(p) {
-                            dst[kept] = pair;
-                            kept += 1;
-                        }
-                    }
-                    kept
-                })
-            })
-            // hotlint: allow(hot-alloc): one handle per worker thread — bounded by the thread count, not the candidate count.
-            .collect();
-        // hotlint: allow(hot-alloc): one count per worker thread — bounded by the thread count, not the candidate count.
-        handles.into_iter().map(join_worker).collect()
-    });
-    let mut write = counts[0];
-    let mut read_base = chunk;
-    for &kept in &counts[1..] {
-        out.copy_within(read_base..read_base + kept, write);
-        write += kept;
-        read_base += chunk;
-    }
-    out.truncate(write);
+    verify_pieces_into(
+        pairs.len().div_ceil(chunk),
+        |w| (w * chunk).min(pairs.len()),
+        out,
+        |w, dst| {
+            let mut kept = 0;
+            let src = &pairs[w * chunk..((w + 1) * chunk).min(pairs.len())];
+            for pair in src.iter().filter_map(|&p| check(p)) {
+                dst[kept] = pair;
+                kept += 1;
+            }
+            kept
+        },
+    );
 }
 
 /// Runs step 4 with the verifier `opts` selects: bitmap-filtered for
@@ -371,7 +577,7 @@ pub fn verify_pairs_into<V: Verifier>(
 /// always applies.
 #[allow(clippy::too_many_arguments)]
 fn verify_with_options(
-    encoded: &[u64],
+    lists: &PartnerLists,
     left: &SetCollection,
     right: &SetCollection,
     same: bool,
@@ -381,6 +587,7 @@ fn verify_with_options(
     stats: &mut JoinStats,
     pairs: &mut Vec<(SetId, SetId)>,
 ) {
+    let (offsets, partners) = (&lists.offsets, &lists.partners);
     if opts.bitmap_filter && !pred.is_weighted() {
         let wps = if same {
             BitmapIndex::words_for_mean(left.avg_set_len())
@@ -401,18 +608,68 @@ fn verify_with_options(
         };
         let right_ref = right_bm.as_ref().unwrap_or(&left_bm);
         let verifier = BitmapVerifier::new(pred, weights, &left_bm, right_ref);
-        verify_pairs_into(encoded, left, right, &verifier, opts.threads, pairs);
+        verify_partner_lists_into(
+            offsets,
+            partners,
+            left,
+            right,
+            &verifier,
+            opts.threads,
+            pairs,
+        );
         stats.bitmap_pruned = verifier.bitmap_pruned();
         stats.bitmap_survivors = verifier.bitmap_survivors();
     } else {
         let verifier = ExactVerifier::new(pred, weights);
-        verify_pairs_into(encoded, left, right, &verifier, opts.threads, pairs);
+        verify_partner_lists_into(
+            offsets,
+            partners,
+            left,
+            right,
+            &verifier,
+            opts.threads,
+            pairs,
+        );
+    }
+}
+
+/// Step 4 (or, with `opts.verify` off, the raw candidate list) and the
+/// statistics that close a join.
+#[allow(clippy::too_many_arguments)]
+fn finish_join(
+    lists: &PartnerLists,
+    left: &SetCollection,
+    right: &SetCollection,
+    same: bool,
+    pred: Predicate,
+    weights: Option<&WeightMap>,
+    opts: JoinOptions,
+    mut stats: JoinStats,
+    approximate: bool,
+) -> JoinResult {
+    let t2 = Instant::now();
+    let mut pairs = Vec::new();
+    if opts.verify {
+        verify_with_options(
+            lists, left, right, same, pred, weights, opts, &mut stats, &mut pairs,
+        );
+    } else {
+        pairs = lists.listed_pairs();
+    }
+    stats.output_pairs = pairs.len() as u64;
+    stats.false_positives = stats.candidate_pairs - stats.output_pairs;
+    stats.verify_secs = t2.elapsed().as_secs_f64();
+    JoinResult {
+        pairs,
+        stats,
+        approximate,
     }
 }
 
 /// Computes a self-SSJoin of `collection` under `pred` using `scheme`
 /// (Figure 2 with `R = S`). Returns all pairs `(a, b)`, `a < b`, satisfying
-/// the predicate — plus every candidate pair when `opts.verify` is off.
+/// the predicate — plus every candidate pair when `opts.verify` is off —
+/// in ascending order.
 pub fn self_join(
     scheme: &impl SignatureScheme,
     collection: &SetCollection,
@@ -425,47 +682,48 @@ pub fn self_join(
         num_sets_s: collection.len(),
         ..Default::default()
     };
+    let workers = workers_for(opts.threads, collection.len());
 
     let t0 = Instant::now();
-    let table = generate_signatures(scheme, collection, opts.threads);
-    stats.signatures_r = table.total();
+    let records = sign_records(scheme, collection, workers);
+    stats.signatures_r = record_count(&records);
     stats.sig_gen_secs = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
-    let (encoded, collisions) = self_candidates(&table, collection.len(), opts.threads);
-    stats.signature_collisions = collisions;
-    stats.candidate_pairs = encoded.len() as u64;
+    let bits = partition_bits(crate::cast::usize_of_u64(stats.signatures_r));
+    let runs = group_runs(partition_chunks(records, bits), None, bits, workers);
+    let lists = PartnerLists::from_runs(runs, collection.len(), false);
+    stats.signature_collisions = lists.collisions;
+    stats.candidate_pairs = lists.partners.len() as u64;
     stats.cand_gen_secs = t1.elapsed().as_secs_f64();
 
     // Debug builds cross-check Theorem 1 on small inputs: an exact scheme's
     // candidates must be a superset of the true result.
     if !scheme.is_approximate() {
-        crate::invariants::assert_self_candidates_complete(&encoded, collection, pred, weights);
-    }
-
-    let t2 = Instant::now();
-    let mut pairs = Vec::new();
-    if opts.verify {
-        verify_with_options(
-            &encoded, collection, collection, true, pred, weights, opts, &mut stats, &mut pairs,
+        crate::invariants::assert_self_candidates_complete(
+            &lists.offsets,
+            &lists.partners,
+            collection,
+            pred,
+            weights,
         );
-    } else {
-        pairs.extend(encoded.iter().map(|&p| decode_pair(p)));
     }
-    stats.output_pairs = pairs.len() as u64;
-    stats.false_positives = stats.candidate_pairs - stats.output_pairs;
-    stats.verify_secs = t2.elapsed().as_secs_f64();
-
-    JoinResult {
-        pairs,
+    finish_join(
+        &lists,
+        collection,
+        collection,
+        true,
+        pred,
+        weights,
+        opts,
         stats,
-        approximate: scheme.is_approximate(),
-    }
+        scheme.is_approximate(),
+    )
 }
 
 /// Computes a binary SSJoin `R ⋈ S` under `pred` using one shared `scheme`
 /// (the same hidden parameters must generate both sides' signatures —
-/// Section 3.1).
+/// Section 3.1). Returns the matching `(r, s)` pairs in ascending order.
 pub fn join(
     scheme: &impl SignatureScheme,
     r: &SetCollection,
@@ -481,41 +739,49 @@ pub fn join(
     };
 
     let t0 = Instant::now();
-    let table_r = generate_signatures(scheme, r, opts.threads);
-    let table_s = generate_signatures(scheme, s, opts.threads);
-    stats.signatures_r = table_r.total();
-    stats.signatures_s = table_s.total();
+    let records_r = sign_records(scheme, r, workers_for(opts.threads, r.len()));
+    let records_s = sign_records(scheme, s, workers_for(opts.threads, s.len()));
+    stats.signatures_r = record_count(&records_r);
+    stats.signatures_s = record_count(&records_s);
     stats.sig_gen_secs = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
-    let (encoded, collisions) = binary_candidates(&table_r, &table_s, r.len(), s.len());
-    stats.signature_collisions = collisions;
-    stats.candidate_pairs = encoded.len() as u64;
+    let bits = partition_bits(crate::cast::usize_of_u64(
+        stats.signatures_r + stats.signatures_s,
+    ));
+    let runs = group_runs(
+        partition_chunks(records_r, bits),
+        Some(partition_chunks(records_s, bits)),
+        bits,
+        workers_for(opts.threads, r.len() + s.len()),
+    );
+    let lists = PartnerLists::from_runs(runs, r.len(), true);
+    stats.signature_collisions = lists.collisions;
+    stats.candidate_pairs = lists.partners.len() as u64;
     stats.cand_gen_secs = t1.elapsed().as_secs_f64();
 
     // Debug builds cross-check Theorem 1 on small inputs (see self_join).
     if !scheme.is_approximate() {
-        crate::invariants::assert_binary_candidates_complete(&encoded, r, s, pred, weights);
-    }
-
-    let t2 = Instant::now();
-    let mut pairs = Vec::new();
-    if opts.verify {
-        verify_with_options(
-            &encoded, r, s, false, pred, weights, opts, &mut stats, &mut pairs,
+        crate::invariants::assert_binary_candidates_complete(
+            &lists.offsets,
+            &lists.partners,
+            r,
+            s,
+            pred,
+            weights,
         );
-    } else {
-        pairs.extend(encoded.iter().map(|&p| decode_pair(p)));
     }
-    stats.output_pairs = pairs.len() as u64;
-    stats.false_positives = stats.candidate_pairs - stats.output_pairs;
-    stats.verify_secs = t2.elapsed().as_secs_f64();
-
-    JoinResult {
-        pairs,
+    finish_join(
+        &lists,
+        r,
+        s,
+        false,
+        pred,
+        weights,
+        opts,
         stats,
-        approximate: scheme.is_approximate(),
-    }
+        scheme.is_approximate(),
+    )
 }
 
 #[cfg(test)]

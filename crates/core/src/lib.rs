@@ -43,6 +43,7 @@
 //! | [`predicate`] | §2, §6 | [`Predicate`] with size/hamming bounds |
 //! | [`signature`] | §3 | the [`SignatureScheme`] trait |
 //! | [`join`] | §3, Fig. 2 | the shared join driver |
+//! | [`partners`] | §3 step 3 | buckets → per-set partner lists |
 //! | [`verify`] | §3 step 4 | pluggable verification, bitmap filter |
 //! | [`partenum`] | §4–6 | PartEnum (hamming, jaccard, general) |
 //! | [`wtenum`] | §7 | WtEnum and its weighted-jaccard wrapper |
@@ -61,6 +62,7 @@ pub mod invariants;
 pub mod join;
 pub mod lockwitness;
 pub mod partenum;
+pub mod partners;
 pub mod predicate;
 pub mod replicated;
 pub mod set;

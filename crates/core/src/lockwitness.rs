@@ -28,7 +28,7 @@
 //! | class           | rank | keys        | holder                         |
 //! |-----------------|------|-------------|--------------------------------|
 //! | [`SHARD_INDEX`] | 0    | shard index | `ssj-serve` per-shard `RwLock` |
-//! | [`SNAPSHOT_PUBLISH`] | 5 | 0        | `ssj-serve` snapshot mutex     |
+//! | [`SNAPSHOT_PUBLISH`] | 5 | 0        | `ssj-store` snapshot mutex     |
 //! | [`STORE_WAL`]   | 10   | 0           | `ssj-store` WAL mutex          |
 //!
 //! Multi-shard acquisitions must walk shards in ascending order (strictly
@@ -66,8 +66,8 @@ impl LockClass {
 
 /// The per-shard index `RwLock`s in `ssj-serve` (key = shard index).
 pub static SHARD_INDEX: LockClass = LockClass::new("shard-index", 0);
-/// The snapshot-publish mutex in `ssj-serve` (single instance, key 0):
-/// one snapshot batch at a time.
+/// The snapshot-publish mutex in `ssj-store` (single instance per store,
+/// key 0): one snapshot batch at a time.
 pub static SNAPSHOT_PUBLISH: LockClass = LockClass::new("snapshot-publish", 5);
 /// The WAL mutex in `ssj-store` (single instance, key 0).
 pub static STORE_WAL: LockClass = LockClass::new("store-wal", 10);

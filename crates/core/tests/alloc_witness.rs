@@ -11,11 +11,16 @@
 //!   serve read path's per-shard workhorse);
 //! * signature generation through `SignatureScheme::signatures_scratch`
 //!   for both PartEnum (unweighted) and WtEnum (weighted) schemes;
-//! * candidate verification through `verify_pairs_into` with `threads: 1`
-//!   (the parallel path spawns scoped threads, which allocate stacks by
-//!   design — hotlint's annotations in `join.rs` document that), under
-//!   both the exact verifier and the bitmap-filtered verifier (whose
-//!   warmed bound-then-merge loop must also allocate nothing).
+//! * the partner-list kernel both join executors share —
+//!   `count_bucket_partners` / `fill_bucket_partners` /
+//!   `dedup_partner_lists` over a warmed partner array;
+//! * candidate verification with `threads: 1` (the parallel path spawns
+//!   scoped threads, which allocate stacks by design — hotlint's
+//!   annotations in `join.rs` document that), through both the join's
+//!   set-major walk `verify_partner_lists_into` and the encoded-pair
+//!   `verify_pairs_into`, each under the exact verifier and the
+//!   bitmap-filtered verifier (whose warmed bound-then-merge loop must
+//!   also allocate nothing).
 //!
 //! The strict zero assertions are release-only: debug builds run the same
 //! passes (so the paths stay exercised under `cargo test`) but tolerate
@@ -27,7 +32,8 @@ use std::cell::Cell;
 use std::hint::black_box;
 
 use ssj_core::index::{JaccardIndex, QueryScratch};
-use ssj_core::join::verify_pairs_into;
+use ssj_core::join::{verify_pairs_into, verify_partner_lists_into};
+use ssj_core::partners::{count_bucket_partners, dedup_partner_lists, fill_bucket_partners};
 use ssj_core::set::{ElementId, SetCollection, SetId, WeightMap};
 use ssj_core::signature::{SigScratch, SignatureScheme};
 use ssj_core::verify::{BitmapIndex, BitmapVerifier, ExactVerifier, Verifier};
@@ -310,4 +316,131 @@ fn warmed_bitmap_verification_allocates_nothing() {
     });
     assert_eq!(survivors, warm_survivors);
     assert_steady_state("verify_pairs_into (bitmap filter, threads=1)", allocs);
+}
+
+/// `count` buckets over `sets` sets, each 2–9 distinct members ascending
+/// (the shape of a sorted signature run), flattened: bucket `i` is
+/// `members[ends[i]..ends[i + 1]]`.
+fn random_buckets(count: usize, sets: u64, seed: u64) -> (Vec<SetId>, Vec<usize>) {
+    let mut state = seed;
+    let mut members = Vec::new();
+    let mut ends = vec![0];
+    for _ in 0..count {
+        let len = 2 + (splitmix64(&mut state) % 8) as usize;
+        let mut bucket: Vec<SetId> = (0..len)
+            .map(|_| (splitmix64(&mut state) % sets) as SetId)
+            .collect();
+        bucket.sort_unstable();
+        bucket.dedup();
+        members.extend_from_slice(&bucket);
+        ends.push(members.len());
+    }
+    (members, ends)
+}
+
+#[test]
+fn warmed_partner_lists_allocate_nothing() {
+    let sets = 500;
+    let (members, ends) = random_buckets(2_000, sets as u64, 0x5eed_0e01);
+    let buckets = || ends.windows(2).map(|w| &members[w[0]..w[1]]);
+    let mut offsets = vec![0usize; sets + 1];
+    let mut partners: Vec<SetId> = Vec::new();
+
+    // Count, prefix-sum, fill, dedup. Only the warm-up sizes `partners`;
+    // the steady-state pass refills it within its capacity.
+    let build = |offsets: &mut Vec<usize>, partners: &mut Vec<SetId>| {
+        offsets.fill(0);
+        let collisions =
+            count_bucket_partners(black_box(buckets()), &mut offsets[..sets]).expect("in range");
+        let mut total = 0;
+        for offset in offsets.iter_mut() {
+            let count = *offset;
+            *offset = total;
+            total += count;
+        }
+        partners.resize(total, 0);
+        let written = fill_bucket_partners(buckets(), &mut offsets[..sets], partners);
+        assert_eq!(written, collisions, "fill must write every counted partner");
+        (collisions, dedup_partner_lists(offsets, partners))
+    };
+    let (warm_collisions, warm_distinct) = build(&mut offsets, &mut partners);
+    assert!(
+        warm_distinct > 0 && (warm_distinct as u64) < warm_collisions,
+        "workload should hold repeated pairs"
+    );
+    let warm_partners = partners.clone();
+
+    let (allocs, counts) = count_allocs(|| build(&mut offsets, &mut partners));
+    assert_eq!(counts, (warm_collisions, warm_distinct));
+    assert_eq!(
+        partners, warm_partners,
+        "steady-state pass must repeat the warm-up"
+    );
+    assert_steady_state(
+        "count_bucket_partners + fill_bucket_partners + dedup_partner_lists",
+        allocs,
+    );
+}
+
+#[test]
+fn warmed_partner_list_walk_allocates_nothing() {
+    let sets = random_sets(100, 300, 4, 20, 0x5eed_0007);
+    let mut collection = SetCollection::new();
+    for set in &sets {
+        collection.push(set.clone());
+        collection.push(set[..set.len() - 1].to_vec());
+    }
+
+    // Every set's partners are all higher sets — the self-join layout.
+    let n = collection.len();
+    let mut offsets = vec![0usize];
+    let mut partners: Vec<SetId> = Vec::new();
+    for a in 0..n {
+        partners.extend((a + 1..n).map(|b| b as SetId));
+        offsets.push(partners.len());
+    }
+    let pred = Predicate::Jaccard { gamma: 0.5 };
+    let bitmaps = BitmapIndex::for_collection(&collection);
+    let exact = ExactVerifier::new(pred, None);
+    let filtered = BitmapVerifier::new(pred, None, &bitmaps, &bitmaps);
+    let verifiers: [(&str, &dyn Verifier); 2] = [("exact", &exact), ("bitmap filter", &filtered)];
+
+    for (label, verifier) in verifiers {
+        let mut out: Vec<(SetId, SetId)> = Vec::new();
+        verify_partner_lists_into(
+            &offsets,
+            &partners,
+            &collection,
+            &collection,
+            &verifier,
+            1,
+            &mut out,
+        );
+        let warm = out.clone();
+        assert!(!warm.is_empty(), "{label}: warm-up verified no pairs");
+
+        let (allocs, ()) = count_allocs(|| {
+            verify_partner_lists_into(
+                black_box(&offsets),
+                &partners,
+                &collection,
+                &collection,
+                &verifier,
+                1,
+                &mut out,
+            );
+        });
+        assert_eq!(
+            out, warm,
+            "{label}: steady-state pass must repeat the warm-up"
+        );
+        assert_steady_state(
+            &format!("verify_partner_lists_into ({label}, threads=1)"),
+            allocs,
+        );
+    }
+    assert!(
+        filtered.bitmap_pruned() > 0,
+        "workload should exercise the pruning branch"
+    );
 }

@@ -11,8 +11,8 @@
 //!
 //! What is deliberately **not** charged (documented in DESIGN.md §5h):
 //! the probe pass's partner lists (4 B per bucket collision plus an 8 B
-//! offset per set), which stand in for the candidate list the in-memory
-//! driver also holds, the output pair vector, and transient per-frame
+//! offset per set), the same arrays the in-memory driver holds, the
+//! output pair vector, and transient per-frame
 //! decode buffers bounded by the spill batch size.
 
 use std::io;

@@ -28,8 +28,8 @@
 //!
 //! Because per-set signature generation is identical, each signature's
 //! full bucket is intact in exactly one partition, and the verify walk
-//! visits candidates in the order of the in-memory driver's sorted
-//! candidate list, the output is byte-identical to
+//! visits candidates in the in-memory driver's set-major order, the
+//! output is byte-identical to
 //! [`ssj_core::self_join`] — `cargo xtask difftest` pins this with a
 //! dedicated spill-oracle column.
 
@@ -38,6 +38,7 @@ use crate::spill::{
     partition_file_name, partition_of, read_partition, remove_partitions, spill_batch_capacity,
     SpillWriter,
 };
+use ssj_core::partners::{count_bucket_partners, dedup_partner_lists, fill_bucket_partners};
 use ssj_core::predicate::Predicate;
 use ssj_core::set::{SetId, WeightMap};
 use ssj_core::signature::{SigScratch, Signature, SignatureScheme};
@@ -67,10 +68,10 @@ static SPILL_DIR_SALT: AtomicU64 = AtomicU64::new(0);
 /// Tuning for [`external_self_join`].
 #[derive(Debug, Clone)]
 pub struct ExternConfig {
-    /// Hard byte budget for accounted resident memory. Like the in-memory
-    /// driver's candidate list, the probe pass's partner lists (4 B per
-    /// bucket collision, plus an 8 B offset per set) and the output pairs
-    /// sit outside the ledger.
+    /// Hard byte budget for accounted resident memory. The probe pass's
+    /// partner lists (4 B per bucket collision, plus an 8 B offset per
+    /// set — the arrays the in-memory driver builds too) and the output
+    /// pairs sit outside the ledger.
     pub mem_budget: u64,
     /// Lower bound on the partition count (difftest uses this to force
     /// multi-partition execution under a generous budget).
@@ -143,95 +144,6 @@ pub struct ExternStats {
     pub probe_secs: f64,
     /// Seconds verifying candidates.
     pub verify_secs: f64,
-}
-
-/// Count step of the probe pass: for every bucket of `postings`, adds
-/// `c − 1 − i` to the partner count of its `i`-th member (`counts[slot]`),
-/// i.e. the number of higher slots it collides with there. Posting lists
-/// are strictly ascending by construction (the spill pass streams slots
-/// in order and dedups each set's signatures), so member `i`'s partners
-/// are exactly the members after it.
-///
-/// Returns the bucket collision count Σ c·(c−1)/2, or `None` when a
-/// bucket names a slot outside `counts`. A hotlint hot root; allocates
-/// nothing (pinned by this crate's alloc witness).
-pub fn count_bucket_partners(postings: &SigPostings, counts: &mut [usize]) -> Option<u64> {
-    let mut collisions = 0u64;
-    for list in postings.lists() {
-        let c = list.len();
-        if c < 2 {
-            continue;
-        }
-        if list[c - 1] as usize >= counts.len() {
-            return None;
-        }
-        collisions += (c as u64) * (c as u64 - 1) / 2;
-        for (i, &slot) in list.iter().enumerate() {
-            counts[slot as usize] += c - 1 - i;
-        }
-    }
-    Some(collisions)
-}
-
-/// Fill step of the probe pass: for every bucket of `postings`, appends
-/// each member's higher-slot partners to its list in `partners`, at the
-/// write cursor `cursors[slot]`, and advances the cursor. With cursors
-/// starting at the prefix sums of [`count_bucket_partners`]' counts, every
-/// list gets exactly its counted room.
-///
-/// Returns the partners written (the partition's collision count), which
-/// the caller checks against the count step. A hotlint hot root; allocates
-/// nothing (pinned by this crate's alloc witness).
-pub fn fill_bucket_partners(
-    postings: &SigPostings,
-    cursors: &mut [usize],
-    partners: &mut [u32],
-) -> u64 {
-    let mut written = 0u64;
-    for list in postings.lists() {
-        let c = list.len();
-        if c < 2 {
-            continue;
-        }
-        written += (c as u64) * (c as u64 - 1) / 2;
-        for i in 0..c - 1 {
-            let cursor = &mut cursors[list[i] as usize];
-            let higher = &list[i + 1..];
-            partners[*cursor..*cursor + higher.len()].copy_from_slice(higher);
-            *cursor += higher.len();
-        }
-    }
-    written
-}
-
-/// Dedup step of the probe pass. On entry `ends[s]` is the end of slot
-/// `s`'s list in `partners` (lists are contiguous, in slot order, starting
-/// at 0); each list is sorted, deduplicated and compacted to the front.
-/// On exit `ends` holds offsets: slot `s`'s distinct partners are
-/// `partners[ends[s]..ends[s + 1]]`, ascending. `ends` has one entry more
-/// than there are slots; its last entry is overwritten with the distinct
-/// total, which is also returned.
-fn dedup_partner_lists(ends: &mut [usize], partners: &mut Vec<u32>) -> usize {
-    let slots = ends.len() - 1;
-    let (mut start, mut write) = (0usize, 0usize);
-    for end_slot in ends.iter_mut().take(slots) {
-        let end = *end_slot;
-        *end_slot = write;
-        partners[start..end].sort_unstable();
-        let mut last = None;
-        for r in start..end {
-            let b = partners[r];
-            if last != Some(b) {
-                partners[write] = b;
-                write += 1;
-                last = Some(b);
-            }
-        }
-        start = end;
-    }
-    ends[slots] = write;
-    partners.truncate(write);
-    write
 }
 
 /// Deterministic per-set charge of the slot table with the bitmap filter
@@ -335,7 +247,7 @@ fn probe_partitions(
     let mut per_part = Vec::with_capacity(partitions);
     for part in 0..partitions {
         load_spill_partition(dir, part, &mut postings, budget, &mut postings_charged)?;
-        let collisions = count_bucket_partners(&postings, &mut offsets[..sets])
+        let collisions = count_bucket_partners(postings.lists(), &mut offsets[..sets])
             .ok_or_else(|| spill_mismatch(part, "names a slot past the segment's sets"))?;
         per_part.push(collisions);
     }
@@ -348,7 +260,8 @@ fn probe_partitions(
     let mut partners = vec![0u32; total];
     for (part, &collisions) in per_part.iter().enumerate() {
         load_spill_partition(dir, part, &mut postings, budget, &mut postings_charged)?;
-        if fill_bucket_partners(&postings, &mut offsets[..sets], &mut partners) != collisions {
+        if fill_bucket_partners(postings.lists(), &mut offsets[..sets], &mut partners) != collisions
+        {
             return Err(spill_mismatch(part, "changed between probe reads"));
         }
     }

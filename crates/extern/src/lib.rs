@@ -9,8 +9,8 @@
 //! **executor** ([`executor`]) numbers sets by *slot* (their position in
 //! the segment stream), loads one partition's posting map at a time, and
 //! gathers every slot's partners into one flat list with the zero-alloc
-//! kernels [`executor::count_bucket_partners`] and
-//! [`executor::fill_bucket_partners`].
+//! partner-list kernels of [`ssj_core::partners`], the ones the in-memory
+//! driver runs over its sorted signature runs.
 //!
 //! Exactness argument (DESIGN.md §5h): an exact scheme guarantees any
 //! joining pair shares at least one signature; every occurrence of that
@@ -41,7 +41,5 @@ pub mod executor;
 pub mod spill;
 
 pub use budget::{parse_mem_budget, MemBudget};
-pub use executor::{
-    count_bucket_partners, external_self_join, fill_bucket_partners, ExternConfig, ExternStats,
-};
+pub use executor::{external_self_join, ExternConfig, ExternStats};
 pub use ssj_store::segment::{write_collection_segment, Segment};

@@ -5,11 +5,10 @@
 //! identical pass must perform **zero** heap allocations (enforced in
 //! release builds; debug builds only exercise the paths).
 //!
-//! Two witnesses:
-//! * `count_bucket_partners` / `fill_bucket_partners` — the probe pass's
-//!   per-partition count and fill kernels hotlint registers as hot roots;
-//! * `SigPostings` reload — `clear()` + full reinsert, the once-per-
-//!   partition rebuild, which must recycle list and table capacity.
+//! The witness here is the `SigPostings` reload — `clear()` + full
+//! reinsert, the once-per-partition rebuild, which must recycle list and
+//! table capacity. The probe pass's count and fill kernels live in
+//! `ssj_core::partners`; their witness is in `ssj-core`'s suite.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,7 +16,6 @@ use std::hint::black_box;
 
 use ssj_core::signature::Signature;
 use ssj_core::SigPostings;
-use ssj_extern::{count_bucket_partners, fill_bucket_partners};
 
 // --- counting allocator -------------------------------------------------
 
@@ -99,47 +97,6 @@ fn postings_stream(count: usize, buckets: u64, seed: u64) -> Vec<(Signature, u32
 }
 
 // --- witnesses ----------------------------------------------------------
-
-#[test]
-fn warmed_partition_probe_allocates_nothing() {
-    let stream = postings_stream(4_000, 300, 0x5eed_0e01);
-    let mut postings = SigPostings::new();
-    for &(sig, id) in &stream {
-        postings.insert(sig, id);
-    }
-    let slots = stream.len() + 1;
-    let mut offsets = vec![0usize; slots];
-    let mut partners: Vec<u32> = Vec::new();
-
-    // One probe of the partition: count, prefix-sum, fill. Only the warm-up
-    // sizes `partners`; the steady-state pass reuses it.
-    let probe = |offsets: &mut Vec<usize>, partners: &mut Vec<u32>| {
-        offsets.fill(0);
-        let collisions =
-            count_bucket_partners(black_box(&postings), offsets).expect("slots in range");
-        let mut total = 0;
-        for offset in offsets.iter_mut() {
-            let count = *offset;
-            *offset = total;
-            total += count;
-        }
-        partners.resize(total, 0);
-        let written = fill_bucket_partners(black_box(&postings), offsets, partners);
-        assert_eq!(written, collisions, "fill must write every counted partner");
-        collisions
-    };
-    let warm_collisions = probe(&mut offsets, &mut partners);
-    assert!(warm_collisions > 0, "warm-up enumerated no candidate pairs");
-    let warm_partners = partners.clone();
-
-    let (allocs, collisions) = count_allocs(|| probe(&mut offsets, &mut partners));
-    assert_eq!(collisions, warm_collisions);
-    assert_eq!(
-        partners, warm_partners,
-        "steady-state pass must repeat the warm-up"
-    );
-    assert_steady_state("count_bucket_partners + fill_bucket_partners", allocs);
-}
 
 #[test]
 fn warmed_postings_reload_allocates_nothing() {

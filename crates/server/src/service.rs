@@ -49,9 +49,7 @@ use crate::metrics::{ServerMetrics, ShardCounters, ShardCountersSnapshot, StatsS
 use crossbeam::channel::{self, TrySendError};
 use ssj_core::error::{Result as CoreResult, SsjError};
 use ssj_core::index::{ContentHashPlacement, JaccardIndex, Placement, QueryScratch};
-use ssj_core::lockwitness::{
-    WitnessMutex, WitnessReadGuard, WitnessRwLock, WitnessWriteGuard, SHARD_INDEX, SNAPSHOT_PUBLISH,
-};
+use ssj_core::lockwitness::{WitnessReadGuard, WitnessRwLock, WitnessWriteGuard, SHARD_INDEX};
 use ssj_core::set::{ElementId, SetId};
 use ssj_store::{Recovered, ShardState, Store, StoreConfig, TailStatus, WalOp, WalRecord};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -303,11 +301,6 @@ pub struct ShardedIndex {
     /// Set while a cadence snapshot runs, so writes that reach the
     /// cadence meanwhile skip theirs instead of queueing.
     snapshotting: AtomicBool,
-    /// Held across every [`Store::snapshot`] batch: class
-    /// `snapshot-publish` (rank 5), taken after the shard locks. A
-    /// `compact` and a cadence snapshot would otherwise stage the same
-    /// `shard-<i>.snap.tmp` files at once.
-    publishing: WitnessMutex<()>,
 }
 
 impl ShardedIndex {
@@ -434,7 +427,6 @@ impl ShardedIndex {
             snapshot_every: 0,
             writes_since_snapshot: AtomicU64::new(0),
             snapshotting: AtomicBool::new(false),
-            publishing: WitnessMutex::new(&SNAPSHOT_PUBLISH, 0, ()),
         })
     }
 
@@ -795,7 +787,8 @@ impl ShardedIndex {
 
     /// Bumps the writes-since-snapshot counter and, when the configured
     /// cadence is reached and no cadence snapshot is already running,
-    /// takes one (a concurrent `compact` waits on the publish mutex).
+    /// takes one (a concurrent `compact` waits on the store's publish
+    /// mutex).
     /// Snapshot failures are reported to stderr but never fail the write
     /// that triggered them (its durability came from the WAL).
     fn maybe_snapshot(&self) {
@@ -824,7 +817,7 @@ impl ShardedIndex {
     /// locks (ascending order), which quiesces writers — a write appends to
     /// the WAL inside its shard's *write* critical section, so no record
     /// the snapshot misses can predate the snapshot's watermark.
-    /// Concurrent callers publish one batch at a time, under the
+    /// Concurrent callers publish one batch at a time, under the store's
     /// `snapshot-publish` mutex.
     ///
     /// No-op `Ok` without a store.
@@ -844,9 +837,7 @@ impl ShardedIndex {
         let states = states_of(&guards);
         // Guards stay held across snapshot + WAL truncation: a write
         // sneaking between the two would be lost from both files.
-        let publishing = self.publishing.lock();
         let result = store.snapshot(seq, &states);
-        drop(publishing);
         drop(guards);
         let sets = states.iter().map(|s| s.live.len() as u64).sum();
         result.map(|()| (seq, sets))

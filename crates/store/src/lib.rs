@@ -53,7 +53,7 @@ pub mod wal;
 pub use snapshot::{persist_shipped_snapshot, ShardState};
 pub use wal::{decode_record, WalOp, WalRecord};
 
-use ssj_core::lockwitness::{WitnessMutex, STORE_WAL};
+use ssj_core::lockwitness::{WitnessMutex, SNAPSHOT_PUBLISH, STORE_WAL};
 use ssj_io::frame::{write_frame, Frame, FrameReader};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Write};
@@ -181,6 +181,16 @@ impl WalFile {
         self.last_sync = Instant::now();
         Ok(())
     }
+
+    /// Encodes, frames and writes one record; returns the framed bytes
+    /// written.
+    fn write_record(&mut self, record: &WalRecord) -> io::Result<u64> {
+        wal::encode_record_into(record, &mut self.payload_buf)?;
+        self.frame_buf.clear();
+        write_frame(&mut self.frame_buf, &self.payload_buf)?;
+        self.file.write_all(&self.frame_buf)?;
+        Ok(self.frame_buf.len() as u64)
+    }
 }
 
 /// The durable store: one WAL plus per-shard snapshots in a data
@@ -188,6 +198,11 @@ impl WalFile {
 pub struct Store {
     dir: PathBuf,
     cfg: StoreConfig,
+    /// Held across every snapshot batch: class `snapshot-publish` (rank 5),
+    /// after the serving layer's shard locks and before the WAL. Each
+    /// shard image is staged at one fixed `shard-<i>.snap.tmp`, so two
+    /// overlapping batches would truncate each other's stages.
+    publishing: WitnessMutex<()>,
     /// WAL mutex: class `store-wal` (rank 10) in the canonical lock order
     /// (DESIGN.md §5f) — acquired after shard locks, never before them.
     wal: WitnessMutex<WalFile>,
@@ -281,6 +296,7 @@ impl Store {
         let store = Store {
             dir: dir.to_path_buf(),
             cfg,
+            publishing: WitnessMutex::new(&SNAPSHOT_PUBLISH, 0, ()),
             wal: WitnessMutex::new(
                 &STORE_WAL,
                 0,
@@ -336,21 +352,7 @@ impl Store {
         // locklint: allow(blocking-under-lock, fn): the WAL append must happen inside the WAL critical section (and under the caller's shard write lock) so file order equals global seq order — that invariant is what makes recovery replay exact (DESIGN.md §5e).
         let mut wal = self.wal.lock();
         let seq = assign_seq();
-        let record = WalRecord { seq, op };
-        let result = (|| {
-            let WalFile {
-                file,
-                payload_buf,
-                frame_buf,
-                ..
-            } = &mut *wal;
-            wal::encode_record_into(&record, payload_buf)?;
-            frame_buf.clear();
-            write_frame(frame_buf, payload_buf)?;
-            file.write_all(frame_buf)?;
-            Ok::<u64, io::Error>(frame_buf.len() as u64)
-        })();
-        match result {
+        match wal.write_record(&WalRecord { seq, op }) {
             Ok(n) => {
                 wal.appended_seq = seq + 1;
                 wal.appended_bytes += n;
@@ -473,22 +475,25 @@ impl Store {
     /// Writes a full snapshot batch at watermark `seq` and truncates the
     /// WAL. The caller must quiesce writers across the whole call (the
     /// serving layer holds every shard's read lock, which excludes
-    /// writers), must pass one state per shard, each reflecting exactly
-    /// the writes numbered below `seq`, and must not overlap two batches:
-    /// each shard image is staged at one fixed `shard-<i>.snap.tmp`, so a
-    /// second batch would truncate the first one's stages (the serving
-    /// layer holds its `snapshot-publish` mutex across the call).
+    /// writers) and must pass one state per shard, each reflecting exactly
+    /// the writes numbered below `seq`. Concurrent batches publish one at a
+    /// time, under the store's `snapshot-publish` mutex.
     pub fn snapshot(&self, seq: u64, states: &[ShardState]) -> io::Result<()> {
-        self.snapshot_without_truncate(seq, states)?;
-        self.truncate_wal(seq)
+        self.publish_batch(seq, states, true)
     }
 
-    /// The snapshot half of [`Store::snapshot`]: writes and renames every
-    /// shard image (each `publish_durable` fsyncs the directory after its
-    /// rename) but leaves the WAL alone. Split out so crash-fault tests
-    /// can exercise the crash window between the two steps; real callers
-    /// use [`Store::snapshot`].
+    /// The snapshot half of [`Store::snapshot`], under the same mutex:
+    /// writes and renames every shard image (each `publish_durable` fsyncs
+    /// the directory after its rename) but leaves the WAL alone. Split out
+    /// so crash-fault tests can exercise the crash window between the two
+    /// steps; real callers use [`Store::snapshot`].
     pub fn snapshot_without_truncate(&self, seq: u64, states: &[ShardState]) -> io::Result<()> {
+        self.publish_batch(seq, states, false)
+    }
+
+    /// Writes every shard image of a batch and, with `truncate`, empties
+    /// the WAL — all under the publish mutex.
+    fn publish_batch(&self, seq: u64, states: &[ShardState], truncate: bool) -> io::Result<()> {
         if states.len() != self.cfg.shards {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -499,8 +504,13 @@ impl Store {
                 ),
             ));
         }
+        // locklint: allow(blocking-under-lock, fn): one batch at a time — every shard image is staged at a fixed `shard-<i>.snap.tmp`, so a second batch would truncate this one's stages; the WAL truncation stays inside so batches publish whole.
+        let _publishing = self.publishing.lock();
         for (i, state) in states.iter().enumerate() {
             snapshot::write_snapshot(&self.dir, &self.cfg, i, seq, state)?;
+        }
+        if truncate {
+            self.truncate_wal(seq)?;
         }
         Ok(())
     }
@@ -639,6 +649,47 @@ mod tests {
         let (_store, rec) = Store::open(&dir, c).unwrap();
         assert_eq!(rec.tail, TailStatus::Corrupt);
         assert!(rec.wal.is_empty(), "flipped record must not decode");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_snapshot_batches_publish_whole() {
+        let dir = tmpdir("snapshot-race");
+        let c = cfg(4, SyncMode::Every);
+        let (store, _) = Store::open(&dir, c.clone()).unwrap();
+        // Two distinct batches at one watermark, large enough that the
+        // shard images take a while to write.
+        let batch = |t: u32| -> Vec<ShardState> {
+            (0..4u32)
+                .map(|shard| ShardState {
+                    next_id: 400,
+                    live: (0..400u32)
+                        .map(|j| (j, vec![t, 10 + shard, 100 + j]))
+                        .collect(),
+                })
+                .collect()
+        };
+        let batches = [batch(0), batch(1)];
+        std::thread::scope(|scope| {
+            for states in &batches {
+                let store = &store;
+                scope.spawn(move || {
+                    for _ in 0..10 {
+                        store.snapshot(5, states).unwrap();
+                    }
+                });
+            }
+        });
+        drop(store);
+
+        // Whichever batch published last is on disk whole: no shard image
+        // was truncated by the other batch's stage, none is mixed in.
+        let (_store, rec) = Store::open(&dir, c).unwrap();
+        assert_eq!(rec.seq, 5);
+        assert!(
+            batches.contains(&rec.shards),
+            "recovered shards are not one whole batch"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

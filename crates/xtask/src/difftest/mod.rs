@@ -4,7 +4,8 @@
 //! For each seed, [`ssj_datagen::generate_adversarial`] produces a corner-
 //! case workload (empty sets, duplicates, interval-boundary sizes, extreme
 //! thresholds, tied weights); every scheme in the matrix then runs at 1, 2,
-//! and 8 worker threads — plus the full `ssj-serve` wire path — and its
+//! and 8 worker threads — plus the full `ssj-serve` wire path, and the
+//! binary R–S driver over two overlapping halves of the workload — and its
 //! verified pair set is compared with the brute-force ground truth. Any
 //! mismatch or panic is a divergence: the harness shrinks the workload with
 //! [`shrink`] and prints a replay command plus a regression-test snippet.
@@ -52,6 +53,11 @@ pub enum SchemeKind {
     /// oracle (node count is semantically invisible, like partition
     /// count for `Extern`).
     Cluster,
+    /// The binary driver `ssj_core::join::join` with `PartEnumJaccard`
+    /// under jaccard: the workload is split into overlapping R and S
+    /// halves, joined with the bitmap filter on and off, and compared
+    /// with the naive R–S join.
+    Binary,
 }
 
 impl SchemeKind {
@@ -69,6 +75,7 @@ impl SchemeKind {
         SchemeKind::Serve,
         SchemeKind::Extern,
         SchemeKind::Cluster,
+        SchemeKind::Binary,
     ];
 
     /// CLI name (`--schemes` takes a comma-separated list of these).
@@ -86,6 +93,7 @@ impl SchemeKind {
             Self::Serve => "serve",
             Self::Extern => "extern",
             Self::Cluster => "cluster",
+            Self::Binary => "binary",
         }
     }
 
@@ -104,6 +112,7 @@ impl SchemeKind {
             Self::Serve => "Serve",
             Self::Extern => "Extern",
             Self::Cluster => "Cluster",
+            Self::Binary => "Binary",
         }
     }
 
@@ -116,11 +125,13 @@ impl SchemeKind {
     /// candidate pass, the server owns its worker pool, the extern
     /// executor streams partitions sequentially, and the cluster runs its
     /// own node-count sweep (their internal partition/node axes are the
-    /// interesting ones), so each runs once per seed.
+    /// interesting ones), so each runs once per seed. The binary join runs
+    /// sequentially and on two workers.
     pub fn thread_counts(self) -> &'static [usize] {
         match self {
             Self::Lsh | Self::Extern | Self::Cluster => &[1],
             Self::Serve => &[2],
+            Self::Binary => &[1, 2],
             _ => THREAD_MATRIX,
         }
     }

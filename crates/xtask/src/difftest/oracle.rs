@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ssj_baselines::{IdentityScheme, LshJaccard, NaiveJoin, PrefixFilter, PrefixFilterConfig};
-use ssj_core::join::{self_join, JoinOptions};
+use ssj_core::join::{join, self_join, JoinOptions};
 use ssj_core::partenum::{GeneralPartEnum, PartEnumHamming, PartEnumJaccard, PartEnumParams};
 use ssj_core::predicate::Predicate;
 use ssj_core::set::SetCollection;
@@ -36,7 +36,8 @@ pub fn predicate_of(kind: SchemeKind, w: &AdversarialWorkload) -> Predicate {
         | SchemeKind::Lsh
         | SchemeKind::Serve
         | SchemeKind::Extern
-        | SchemeKind::Cluster => Predicate::Jaccard { gamma: w.gamma },
+        | SchemeKind::Cluster
+        | SchemeKind::Binary => Predicate::Jaccard { gamma: w.gamma },
         SchemeKind::GeneralMaxFraction => Predicate::MaxFraction { gamma: w.gamma },
         SchemeKind::WtEnum => Predicate::WeightedOverlap { t: w.weighted_t },
         SchemeKind::WtEnumJaccard => Predicate::WeightedJaccard { gamma: w.gamma_w },
@@ -48,8 +49,22 @@ fn weighted(kind: SchemeKind) -> bool {
     matches!(kind, SchemeKind::WtEnum | SchemeKind::WtEnumJaccard)
 }
 
+/// The binary column's R and S: the first two thirds and the last two
+/// thirds of the workload's sets, so the middle third sits on both sides
+/// (identical sets across R and S, and R–S pairs within it).
+pub fn binary_halves(w: &AdversarialWorkload) -> (SetCollection, SetCollection) {
+    let n = w.sets.len();
+    let r = SetCollection::from_sets(w.sets[..(2 * n).div_ceil(3)].to_vec());
+    let s = SetCollection::from_sets(w.sets[n / 3..].to_vec());
+    (r, s)
+}
+
 /// Ground truth: the naive O(n²) join under `kind`'s predicate.
 pub fn oracle_pairs(kind: SchemeKind, w: &AdversarialWorkload) -> Vec<(u32, u32)> {
+    if kind == SchemeKind::Binary {
+        let (r, s) = binary_halves(w);
+        return NaiveJoin::join(&r, &s, predicate_of(kind, w), None);
+    }
     let collection = w.collection();
     let weights = weighted(kind).then(|| w.weight_map());
     NaiveJoin::self_join(&collection, predicate_of(kind, w), weights.as_ref())
@@ -168,7 +183,31 @@ fn run_scheme(kind: SchemeKind, w: &AdversarialWorkload, threads: usize) -> RunR
         SchemeKind::Serve => serve_pairs(w, threads),
         SchemeKind::Extern => extern_pairs(w, &collection, pred, seed),
         SchemeKind::Cluster => cluster_pairs(w, &collection),
+        SchemeKind::Binary => binary_pairs(w, pred, opts, seed),
     }
+}
+
+/// The binary driver on [`binary_halves`], with the bitmap filter on and
+/// off; the two runs must agree byte for byte, as in [`driver_pairs`].
+fn binary_pairs(
+    w: &AdversarialWorkload,
+    pred: Predicate,
+    opts: JoinOptions,
+    seed: u64,
+) -> RunResult {
+    let (r, s) = binary_halves(w);
+    let scheme = PartEnumJaccard::new(w.gamma, w.max_set_len(), seed)
+        .map_err(|e| format!("construction failed: {e}"))?;
+    let on = join(&scheme, &r, &s, pred, None, opts);
+    let off = join(&scheme, &r, &s, pred, None, opts.with_bitmap_filter(false));
+    if on.pairs != off.pairs {
+        return Err(format!(
+            "bitmap filter changed the R–S output: {} pair(s) with the filter vs {} without",
+            on.pairs.len(),
+            off.pairs.len()
+        ));
+    }
+    Ok(on.pairs)
 }
 
 /// Node counts the cluster run is forced through: the minimal cluster, an

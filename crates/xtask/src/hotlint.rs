@@ -74,8 +74,9 @@ pub const SUPPRESSIBLE_RULES: [&str; 6] = [
 /// The registry names the paper's inner loops and the request paths that
 /// sit on every operation:
 ///
-/// * `verify_pairs_into` — the verification step (exact predicate over
-///   every candidate pair);
+/// * `verify_partner_lists_into` / `verify_pairs_into` — the verification
+///   step (exact predicate over every candidate pair): the join's
+///   set-major walk over partner lists, and the encoded-pair form;
 /// * the `similarity` kernels — the per-pair work itself;
 /// * `signatures_into` — signature generation, run per set on every
 ///   insert/query/join;
@@ -83,9 +84,10 @@ pub const SUPPRESSIBLE_RULES: [&str; 6] = [
 ///   `query_candidates` answer every service request;
 /// * WAL record encoding — `encode_record_into` / `encode_set` run per
 ///   write inside the store's critical section;
-/// * `count_bucket_partners` / `fill_bucket_partners` — the external
-///   executor's probe kernels, each run once per spill partition over
-///   every posting list;
+/// * `count_bucket_partners` / `fill_bucket_partners` and their R–S forms
+///   `count_cross_partners` / `fill_cross_partners` — the partner-list
+///   kernel, run over every bucket of the in-memory join's sorted runs and
+///   once per spill partition of the external executor;
 /// * `verify_pair` / `overlap_bound` / `write_bitmap` — the pluggable
 ///   verification trait method, the bitmap popcount bound it checks per
 ///   candidate, and the per-query bitmap build on the serve read path;
@@ -94,7 +96,8 @@ pub const SUPPRESSIBLE_RULES: [&str; 6] = [
 ///   are already covered by the serve roots; `call` sits in [`CALL_CUT`]).
 ///   The fan-out method `Transport::call_all` is *not* cut, so
 ///   `TcpTransport`'s socket path is hot and analyzed.
-pub const HOT_ROOTS: [&str; 20] = [
+pub const HOT_ROOTS: [&str; 23] = [
+    "verify_partner_lists_into",
     "verify_pairs_into",
     "verify_pair",
     "overlap_bound",
@@ -114,6 +117,8 @@ pub const HOT_ROOTS: [&str; 20] = [
     "encode_set",
     "count_bucket_partners",
     "fill_bucket_partners",
+    "count_cross_partners",
+    "fill_cross_partners",
     "route_query",
 ];
 

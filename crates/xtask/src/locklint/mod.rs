@@ -98,7 +98,8 @@ const SHARD_INDEX: usize = 0;
 const SNAPSHOT_PUBLISH: usize = 1;
 const STORE_WAL: usize = 2;
 
-/// The lock-site registry: how each named lock is acquired in source.
+/// The lock-site registry: how each named lock is acquired in source
+/// (`.index` in `ssj-serve`, `.publishing` and `.wal` in `ssj-store`).
 /// Field-qualified method chains match at the dot; the canonical
 /// guard-returning helpers match as calls by name — the helper's own body
 /// is the audited, annotated acquisition, and call sites inherit it.
