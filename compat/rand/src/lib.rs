@@ -10,8 +10,6 @@
 //! crates.io `rand` (`StdRng` there is ChaCha12). Nothing in the workspace
 //! depends on the exact stream, only on per-seed reproducibility.
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 
 use std::ops::{Range, RangeInclusive};

@@ -14,8 +14,7 @@
 //! All schemes plug into `ssj_core::join::{self_join, join}`.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 
 pub mod identity;
 pub mod lsh;

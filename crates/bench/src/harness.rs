@@ -2,12 +2,12 @@
 //! runners, result records, and table/JSON output.
 
 use ssj_baselines::{LshJaccard, PrefixFilter, PrefixFilterConfig};
+use ssj_core::hash::FxHashSet;
 use ssj_core::join::{self_join, JoinOptions, JoinResult};
 use ssj_core::partenum::{estimate_cost, optimize_jaccard, PartEnumJaccard};
 use ssj_core::predicate::Predicate;
 use ssj_core::set::SetCollection;
 use ssj_core::signature::SignatureScheme;
-use std::collections::HashSet;
 use std::fmt::Write as _;
 
 /// Input-size tier. The paper runs 100K/500K/1M; the default tier scales
@@ -261,7 +261,7 @@ pub fn recall_of(approx: &[(u32, u32)], exact: &[(u32, u32)]) -> f64 {
     if exact.is_empty() {
         return 1.0;
     }
-    let exact_set: HashSet<(u32, u32)> = exact.iter().copied().collect();
+    let exact_set: FxHashSet<(u32, u32)> = exact.iter().copied().collect();
     let hit = approx.iter().filter(|p| exact_set.contains(p)).count();
     hit as f64 / exact.len() as f64
 }

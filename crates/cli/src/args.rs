@@ -237,7 +237,6 @@ QUERY OPTIONS (one-shot client; prints the JSON response line):
   --get-stats         fetch server counters
   --shutdown          drain and stop the server
   --compact           snapshot every shard now (and truncate the WAL)
-  --seg-get ID        point-read a set by id from its shard's snapshot
   --deadline-ms N     per-request queue deadline
 ";
 
@@ -486,7 +485,6 @@ fn parse_query(args: &[String]) -> Result<QueryOpts, ParseError> {
     let mut stats = false;
     let mut shutdown = false;
     let mut compact = false;
-    let mut seg_get: Option<u64> = None;
     let mut deadline_ms: Option<u64> = None;
 
     let mut i = 0;
@@ -510,13 +508,6 @@ fn parse_query(args: &[String]) -> Result<QueryOpts, ParseError> {
             "--get-stats" => stats = true,
             "--shutdown" => shutdown = true,
             "--compact" => compact = true,
-            "--seg-get" => {
-                seg_get = Some(
-                    next(&mut i)?
-                        .parse()
-                        .map_err(|_| ParseError("bad --seg-get id".into()))?,
-                )
-            }
             "--deadline-ms" => {
                 deadline_ms = Some(
                     next(&mut i)?
@@ -543,12 +534,11 @@ fn parse_query(args: &[String]) -> Result<QueryOpts, ParseError> {
         + usize::from(remove.is_some())
         + usize::from(stats)
         + usize::from(shutdown)
-        + usize::from(compact)
-        + usize::from(seg_get.is_some());
+        + usize::from(compact);
     if chosen != 1 {
         return Err(ParseError(
             "query needs exactly one of --set, --remove, --get-stats, \
-             --shutdown, --compact, --seg-get"
+             --shutdown, --compact"
                 .into(),
         ));
     }
@@ -568,8 +558,6 @@ fn parse_query(args: &[String]) -> Result<QueryOpts, ParseError> {
         format!("{{\"op\":\"stats\"{deadline_suffix}}}")
     } else if compact {
         format!("{{\"op\":\"compact\"{deadline_suffix}}}")
-    } else if let Some(id) = seg_get {
-        format!("{{\"op\":\"seg_get\",\"id\":{id}{deadline_suffix}}}")
     } else {
         "{\"op\":\"shutdown\"}".to_string()
     };
@@ -932,22 +920,17 @@ mod tests {
     }
 
     #[test]
-    fn parses_segment_query_ops() {
+    fn parses_the_compact_op() {
         let q = |s: &str| match parse_command(&args(s)) {
             Ok(Command::Query(o)) => o,
             other => panic!("expected query, got {other:?}"),
         };
         assert_eq!(q("query --addr h:1 --compact").line, r#"{"op":"compact"}"#);
         assert_eq!(
-            q("query --addr h:1 --seg-get 42").line,
-            r#"{"op":"seg_get","id":42}"#
-        );
-        assert_eq!(
             q("query --addr h:1 --compact --deadline-ms 9").line,
             r#"{"op":"compact","deadline_ms":9}"#
         );
-        assert!(parse_command(&args("query --addr h:1 --compact --seg-get 1")).is_err());
-        assert!(parse_command(&args("query --addr h:1 --seg-get many")).is_err());
+        assert!(parse_command(&args("query --addr h:1 --compact --get-stats")).is_err());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! Run `ssjoin --help` for the full surface.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
+// Unlike the library crates, no `deny(clippy::unwrap_used, expect_used,
+// panic)`: a top-level expect/panic aborts the process with a message,
+// which is the intended CLI failure mode.
 
 pub mod args;
 

@@ -42,9 +42,8 @@
 //! owner is a pure function of its content, so the pairs a query returns
 //! are unaffected by how writes interleave across nodes.
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 
 pub mod meta;
 pub mod replica;

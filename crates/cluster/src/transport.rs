@@ -80,7 +80,7 @@ fn is_read_only(line: &str) -> bool {
     };
     let op = &line[at + OP.len()..];
     let op = &op[..op.find('"').unwrap_or(0)];
-    matches!(op, "query" | "stats" | "seg_get" | "tail" | "snap_fetch")
+    matches!(op, "query" | "stats" | "tail" | "snap_fetch")
 }
 
 /// An exchange that failed on an established connection.
@@ -360,7 +360,6 @@ mod tests {
             r#"{"op":"stats"}"#,
             r#"{"op":"tail","from_seq":3}"#,
             r#"{"op":"snap_fetch"}"#,
-            r#"{"op":"seg_get","id":1}"#,
         ] {
             assert!(is_read_only(line), "{line}");
         }

@@ -12,6 +12,8 @@
 //! Strict assertions are release-only: debug builds keep extra
 //! bookkeeping. CI runs this file with `--release`.
 
+#![allow(unsafe_code, reason = "the counting allocator implements GlobalAlloc")]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;

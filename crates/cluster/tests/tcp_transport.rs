@@ -7,6 +7,7 @@
 //! is what the assertions are about; the timeout tests also run real
 //! `serve_tcp` nodes beside a silent one.
 
+use parking_lot::Mutex;
 use ssj_cluster::{
     scan, ClusterSeq, HashRing, Replica, Router, RouterError, RouterScratch, TcpTransport,
     Transport, TransportError,
@@ -16,7 +17,7 @@ use ssj_serve::{Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -69,7 +70,7 @@ impl FakeNode {
                     let stream = conn.expect("accept");
                     shared.accepts.fetch_add(1, Ordering::SeqCst);
                     let clone = stream.try_clone().expect("clone");
-                    shared.streams.lock().expect("streams").push(clone);
+                    shared.streams.lock().push(clone);
                     let (shared, script) = (Arc::clone(&shared), Arc::clone(&script));
                     sessions.push(std::thread::spawn(move || {
                         session(stream, &shared, &script)
@@ -93,7 +94,7 @@ impl FakeNode {
 
     /// Request lines received so far that contain `needle`.
     fn received(&self, needle: &str) -> usize {
-        let lines = self.shared.lines.lock().expect("lines");
+        let lines = self.shared.lines.lock();
         lines.iter().filter(|l| l.contains(needle)).count()
     }
 
@@ -101,7 +102,7 @@ impl FakeNode {
     /// process would; returns the address for a restart on the same port.
     fn kill(self) -> String {
         self.shared.stop.store(true, Ordering::SeqCst);
-        for s in self.shared.streams.lock().expect("streams").iter() {
+        for s in self.shared.streams.lock().iter() {
             let _ = s.shutdown(Shutdown::Both);
         }
         // Wake the accept loop so it observes the flag.
@@ -120,7 +121,7 @@ fn session(stream: TcpStream, shared: &Shared, script: &Script) {
             return;
         }
         let request = line.trim_end();
-        shared.lines.lock().expect("lines").push(request.into());
+        shared.lines.lock().push(request.into());
         let mut reply = match script(request) {
             Answer::Reply(reply) => reply,
             Answer::ReplyAfter(delay, reply) => {

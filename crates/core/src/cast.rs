@@ -1,16 +1,25 @@
-//! Checked narrowing conversions for id-sized integers.
+//! Checked narrowing conversions for id-sized integers, and the one
+//! float-to-integer conversion.
 //!
-//! The repo lint (`cargo xtask lint`, rule `narrowing-cast`) bans bare
-//! `as` narrowing casts in ssj-core: a silent wrap on a set id or arena
-//! offset corrupts join output instead of failing. The conversions that
-//! remain go through these helpers, which debug-assert the value fits and
-//! saturate (never wrap) in release builds.
+//! ssj-core denies `clippy::{cast_possible_truncation, cast_sign_loss,
+//! cast_possible_wrap}` outside tests (see the crate root): a silent wrap
+//! on a set id or arena offset corrupts join output instead of failing.
+//! The integer conversions that remain go through these helpers, which
+//! debug-assert the value fits and saturate (never wrap) in release builds.
 //!
 //! Saturation is a defense in depth, not a code path: the values converted
 //! here are bounded at the source — [`crate::set::SetCollection`] rejects
 //! more than `u32::MAX` sets or elements at insertion, encoded candidate
 //! pairs carry 32-bit halves by construction, and second-level partition
 //! indices are ≤ 32.
+//!
+//! Float-to-integer rounding goes through [`usize_of_f64`], whose only
+//! callers are [`crate::predicate::ceil_tol`] /
+//! [`crate::predicate::floor_tol`], the optimiser's sample scaling and the
+//! weight quantisation in [`crate::replicated`]. Float noise at an integer
+//! boundary shifts a candidate-generation bound by one and drops valid
+//! pairs, so Lemma-1 bounds round with a tolerance, never with a raw
+//! `.ceil() as usize`.
 
 use crate::set::SetId;
 
@@ -50,6 +59,18 @@ pub fn usize_of_u64(i: u64) -> usize {
     usize::try_from(i).unwrap_or(usize::MAX)
 }
 
+/// Converts a float to `usize` the way `as` does: truncating toward zero,
+/// NaN and negatives to 0, values past `usize::MAX` to `usize::MAX`.
+#[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "the crate's one float-to-integer cast; `as` saturates, which is the conversion wanted"
+)]
+pub fn usize_of_f64(x: f64) -> usize {
+    x as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -63,6 +84,15 @@ mod tests {
         assert_eq!(u32_of_u64(0xffff_ffff), u32::MAX);
         assert_eq!(usize_of_u64(0), 0);
         assert_eq!(usize_of_u64(1 << 40), 1usize << 40);
+        assert_eq!(usize_of_f64(18.0), 18);
+        assert_eq!(usize_of_f64(17.999), 17);
+    }
+
+    #[test]
+    fn float_conversion_saturates() {
+        assert_eq!(usize_of_f64(-3.5), 0);
+        assert_eq!(usize_of_f64(f64::NAN), 0);
+        assert_eq!(usize_of_f64(1e300), usize::MAX);
     }
 
     #[test]

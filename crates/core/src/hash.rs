@@ -79,9 +79,11 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// `HashMap` keyed with the fast fx hasher.
+#[expect(clippy::disallowed_types, reason = "the workspace's one HashMap type")]
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
 /// `HashSet` keyed with the fast fx hasher.
+#[expect(clippy::disallowed_types, reason = "the workspace's one HashSet type")]
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 /// A strong 64-bit finalizer (splitmix64). Bijective on `u64`.

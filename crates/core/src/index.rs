@@ -12,6 +12,7 @@
 //! pairs share a signature, a query probes every bucket of its own
 //! signatures and therefore sees every indexed set it joins with.
 
+use crate::cast::usize_of_u64;
 use crate::hash::{FxHashMap, FxHashSet};
 use crate::predicate::Predicate;
 use crate::set::{ElementId, SetCollection, SetId, WeightMap};
@@ -637,7 +638,7 @@ pub fn shard_of(set: &[ElementId], shards: usize, seed: u64) -> usize {
         set.windows(2).all(|w| w[0] < w[1]),
         "shard_of input must be sorted and deduplicated"
     );
-    (content_hash_of(set, seed) % (shards as u64)) as usize
+    usize_of_u64(content_hash_of(set, seed) % (shards as u64))
 }
 
 /// The raw content hash underlying [`shard_of`], before bucket reduction.

@@ -575,7 +575,7 @@ pub fn verify_pairs_into<V: Verifier>(
 /// marks a self-join, so one bitmap build serves both sides; binary joins
 /// share a width (chosen from the combined mean set size) so the filter
 /// always applies.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "the join's inputs and options")]
 fn verify_with_options(
     lists: &PartnerLists,
     left: &SetCollection,
@@ -635,7 +635,7 @@ fn verify_with_options(
 
 /// Step 4 (or, with `opts.verify` off, the raw candidate list) and the
 /// statistics that close a join.
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "the join's inputs and options")]
 fn finish_join(
     lists: &PartnerLists,
     left: &SetCollection,

@@ -1,6 +1,7 @@
 //! PartEnum for hamming SSJoins (Section 4, Figure 3).
 
 use super::params::{subsets_of_size, PartEnumParams};
+use crate::cast::usize_of_u64;
 use crate::error::Result;
 use crate::hash::{Mix64, SigBuilder};
 use crate::set::ElementId;
@@ -102,7 +103,7 @@ impl PartEnumHamming {
     #[inline]
     fn partition_of(&self, e: u64) -> (usize, usize) {
         let bucket =
-            (self.partitioner.hash_u64(e) % (self.params.n1 * self.params.n2) as u64) as usize;
+            usize_of_u64(self.partitioner.hash_u64(e) % (self.params.n1 * self.params.n2) as u64);
         (bucket / self.params.n2, bucket % self.params.n2)
     }
 

@@ -11,6 +11,7 @@
 use super::hamming::PartEnumHamming;
 use super::intervals::SizeIntervals;
 use super::params::PartEnumParams;
+use crate::cast::usize_of_f64;
 use crate::hash::FxHashMap;
 use crate::set::{ElementId, SetCollection};
 use crate::signature::SignatureScheme;
@@ -120,7 +121,7 @@ pub fn optimize_jaccard(
             optimize_hamming(
                 k,
                 sets,
-                (sets.len() as f64 * scale_base) as usize,
+                usize_of_f64(sets.len() as f64 * scale_base),
                 max_sigs,
                 seed,
             )

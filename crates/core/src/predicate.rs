@@ -13,6 +13,7 @@
 //! 2. **hamming bound** — an upper bound on `Hd(r, s)` for joining pairs of
 //!    given sizes.
 
+use crate::cast::usize_of_f64;
 use crate::set::{ElementId, WeightMap};
 use crate::similarity;
 
@@ -26,13 +27,13 @@ pub const EPS: f64 = 1e-9;
 /// 18). All signature schemes use this to stay conservative (exact).
 #[inline]
 pub fn ceil_tol(x: f64) -> usize {
-    (x - EPS).ceil().max(0.0) as usize
+    usize_of_f64((x - EPS).ceil().max(0.0))
 }
 
 /// Rounds `x` down to an integer, tolerating noise just above a boundary.
 #[inline]
 pub fn floor_tol(x: f64) -> usize {
-    (x + EPS).floor().max(0.0) as usize
+    usize_of_f64((x + EPS).floor().max(0.0))
 }
 
 /// A supported SSJoin predicate.

@@ -20,6 +20,7 @@
 //! use the quantized map, or treat the scheme as an approximation of the
 //! original weights (standard rounding, as the paper puts it).
 
+use crate::cast::{usize_of_f64, usize_of_u64};
 use crate::hash::{mix64, SigBuilder};
 use crate::partenum::{PartEnumHamming, PartEnumParams, SizeIntervals};
 use crate::set::{ElementId, WeightMap};
@@ -84,7 +85,7 @@ impl ReplicatedPartEnumJaccard {
         if w <= 0.0 {
             0
         } else {
-            (w / self.quantum).round().max(1.0) as u64
+            usize_of_f64((w / self.quantum).round().max(1.0)) as u64
         }
     }
 
@@ -110,7 +111,7 @@ impl ReplicatedPartEnumJaccard {
     /// Total signatures this scheme emits for `set` (for the ablation's
     /// α^2.39 measurements).
     pub fn signatures_per_set(&self, set: &[ElementId]) -> usize {
-        let size = self.replicated_size(set) as usize;
+        let size = usize_of_u64(self.replicated_size(set));
         if size == 0 {
             return 1;
         }

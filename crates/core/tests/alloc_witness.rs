@@ -27,6 +27,8 @@
 //! allocations from debug-only invariant checking. CI runs this file with
 //! `--release` to enforce the zero bound.
 
+#![allow(unsafe_code, reason = "the counting allocator implements GlobalAlloc")]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;

@@ -321,7 +321,7 @@ mod tests {
             ..Default::default()
         };
         let records = generate_addresses(cfg);
-        let mut freq = std::collections::HashMap::new();
+        let mut freq = ssj_core::hash::FxHashMap::default();
         for r in &records {
             for t in r.split_whitespace() {
                 *freq.entry(t.to_string()).or_insert(0usize) += 1;

@@ -18,8 +18,6 @@
 //!   set sizes, planted duplicate groups.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 
 pub mod address;
 pub mod adversarial;

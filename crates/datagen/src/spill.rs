@@ -16,6 +16,7 @@
 //!   so differential runs always have output pairs to compare.
 
 use rand::prelude::*;
+use ssj_core::hash::FxHashSet;
 use ssj_core::set::{ElementId, SetCollection};
 
 /// Configuration for the spill-stress generator.
@@ -61,7 +62,7 @@ impl Default for SpillConfig {
 fn random_set(rng: &mut impl Rng, size: usize, domain: u32) -> Vec<ElementId> {
     let size = size.min(domain as usize);
     let mut set: Vec<ElementId> = Vec::with_capacity(size);
-    let mut seen = std::collections::HashSet::with_capacity(size * 2);
+    let mut seen = FxHashSet::with_capacity_and_hasher(size * 2, Default::default());
     while set.len() < size {
         let e = rng.gen_range(0..domain);
         if seen.insert(e) {

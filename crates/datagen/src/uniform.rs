@@ -5,6 +5,7 @@
 //! al. [8].
 
 use rand::prelude::*;
+use ssj_core::hash::FxHashSet;
 use ssj_core::set::{ElementId, SetCollection};
 
 /// Configuration for the uniform synthetic generator.
@@ -41,7 +42,7 @@ impl Default for UniformConfig {
 fn random_set(rng: &mut impl Rng, size: usize, domain: u32) -> Vec<ElementId> {
     assert!((size as u64) <= domain as u64, "set size exceeds domain");
     let mut set: Vec<ElementId> = Vec::with_capacity(size);
-    let mut seen = std::collections::HashSet::with_capacity(size * 2);
+    let mut seen = FxHashSet::with_capacity_and_hasher(size * 2, Default::default());
     while set.len() < size {
         let e = rng.gen_range(0..domain);
         if seen.insert(e) {

@@ -32,9 +32,8 @@
 //! `shard-<i>.snap` files are segments this executor can read as they
 //! are (global ids aside: a snapshot holds one shard's local ids).
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 
 pub mod budget;
 pub mod executor;

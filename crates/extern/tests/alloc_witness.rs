@@ -10,6 +10,8 @@
 //! table capacity. The probe pass's count and fill kernels live in
 //! `ssj_core::partners`; their witness is in `ssj-core`'s suite.
 
+#![allow(unsafe_code, reason = "the counting allocator implements GlobalAlloc")]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;

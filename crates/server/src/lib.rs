@@ -30,9 +30,8 @@
 //! server.shutdown();
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 
 pub mod config;
 pub mod metrics;

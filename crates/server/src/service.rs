@@ -88,13 +88,6 @@ pub enum Request {
     /// segment and truncate the WAL; answers [`Response::Compacted`].
     /// Errors on a memory-only server.
     Compact,
-    /// Point-read a set by global id from its shard's snapshot segment;
-    /// answers [`Response::SegmentSet`]. Errors on a memory-only server or
-    /// before the first snapshot.
-    SegGet {
-        /// A global id previously returned by an insert.
-        id: u64,
-    },
     /// Replica catch-up: ship the WAL suffix from `from_seq` on; answers
     /// [`Response::WalTail`]. Errors on a memory-only server (no WAL).
     Tail {
@@ -167,17 +160,6 @@ pub enum Response {
         sets: u64,
         /// The data directory holding the `shard-<i>.snap` segments.
         file: String,
-    },
-    /// Answer to [`Request::SegGet`]: the set as stored in its shard's
-    /// snapshot segment (`None` when the id is absent there — unknown,
-    /// tombstoned, or newer than the snapshot).
-    SegmentSet {
-        /// The requested global id.
-        id: u64,
-        /// The set's elements, ascending; `None` if absent.
-        elems: Option<Vec<ElementId>>,
-        /// Sequence number of the snapshot answering the read.
-        segment_seq: u64,
     },
     /// Answer to [`Request::Tail`]: the WAL suffix from the resume point.
     WalTail {
@@ -905,7 +887,6 @@ impl Inner {
             Request::Remove { .. }
             | Request::Stats
             | Request::Compact
-            | Request::SegGet { .. }
             | Request::Tail { .. }
             | Request::SnapFetch => false,
         };
@@ -952,7 +933,6 @@ impl Inner {
             },
             Request::Stats => Response::Stats(self.stats()),
             Request::Compact => self.compact(),
-            Request::SegGet { id } => self.seg_get(id),
             Request::Tail { from_seq } => self.tail(from_seq),
             Request::SnapFetch => self.snap_fetch(),
         }
@@ -1004,26 +984,6 @@ impl Inner {
                 file: store.dir().display().to_string(),
             },
             Err(e) => Response::Error(format!("compact failed: {e}")),
-        }
-    }
-
-    /// Point-reads a global id from its shard's snapshot segment.
-    fn seg_get(&self, id: u64) -> Response {
-        let Some(store) = self.index.store() else {
-            return Response::Error("seg_get requires a durable server (--data-dir)".into());
-        };
-        let Some((shard, local)) = self.index.decode_id(id) else {
-            return Response::Error(format!("seg_get: id {id} was never issued"));
-        };
-        let mut elems = Vec::new();
-        match store.snapshot_get(shard, u64::from(local), &mut elems) {
-            Ok(Some((segment_seq, found))) => Response::SegmentSet {
-                id,
-                elems: found.then_some(elems),
-                segment_seq,
-            },
-            Ok(None) => Response::Error("no snapshot yet: run compact first".into()),
-            Err(e) => Response::Error(format!("seg_get failed: {e}")),
         }
     }
 
@@ -1415,14 +1375,14 @@ mod tests {
     }
 
     #[test]
-    fn compact_and_seg_get_round_trip() {
+    fn compact_then_restart_serves_the_compacted_image() {
         let dir = std::env::temp_dir().join(format!("ssj_serve_compact_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let server = Server::start(ServerConfig {
+        let durable = || ServerConfig {
             data_dir: Some(dir.clone()),
             ..cfg(2)
-        })
-        .expect("valid config");
+        };
+        let server = Server::start(durable()).expect("valid config");
         let h = server.handle();
         let insert = |elems: Vec<u32>| match h.call(Request::Insert { elems }) {
             Response::Inserted { id, .. } => id,
@@ -1442,20 +1402,47 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        match h.call(Request::SegGet { id: kept }) {
-            Response::SegmentSet {
-                id,
-                elems: Some(elems),
-                segment_seq,
-            } => {
-                assert_eq!(id, kept);
-                assert_eq!(elems, vec![1, 2, 3], "segment stores the canonical set");
-                assert_eq!(segment_seq, 3);
-            }
+        server.shutdown();
+
+        // The image holds the kept set, canonicalised, and nothing is left
+        // in the WAL to replay on top of it.
+        let c = durable();
+        let store_cfg = StoreConfig {
+            shards: c.shards,
+            seed: c.seed,
+            gamma: c.gamma,
+            initial_max_size: c.initial_max_size,
+            sync: c.sync,
+        };
+        let (store, rec) = Store::open(&dir, store_cfg).expect("store reopens");
+        let live: Vec<&Vec<u32>> = rec
+            .shards
+            .iter()
+            .flat_map(|s| s.live.iter().map(|(_, set)| set))
+            .collect();
+        assert_eq!(live, [&vec![1, 2, 3]]);
+        assert!(rec.wal.is_empty(), "{:?}", rec.wal);
+        drop(store);
+
+        // A server restarted on that image serves it.
+        let server = Server::start(durable()).expect("restart");
+        let h = server.handle();
+        let query = |elems: Vec<u32>| match h.call(Request::Query { elems }) {
+            Response::Matches { ids, .. } => ids,
             other => panic!("unexpected {other:?}"),
-        }
-        match h.call(Request::SegGet { id: removed }) {
-            Response::SegmentSet { elems: None, .. } => {}
+        };
+        assert_eq!(
+            query(vec![1, 2, 3]),
+            vec![kept],
+            "the image holds the kept set"
+        );
+        assert_eq!(
+            query(vec![10, 20]),
+            Vec::<u64>::new(),
+            "and not the removed one"
+        );
+        match h.call(Request::Stats) {
+            Response::Stats(s) => assert_eq!(s.live_sets.iter().sum::<u64>(), 1),
             other => panic!("unexpected {other:?}"),
         }
         server.shutdown();
@@ -1463,36 +1450,14 @@ mod tests {
     }
 
     #[test]
-    fn segment_ops_require_a_durable_server() {
+    fn compact_requires_a_durable_server() {
         let server = Server::start(cfg(2)).expect("valid config");
         let h = server.handle();
         match h.call(Request::Compact) {
             Response::Error(msg) => assert!(msg.contains("data-dir"), "{msg}"),
             other => panic!("unexpected {other:?}"),
         }
-        match h.call(Request::SegGet { id: 0 }) {
-            Response::Error(msg) => assert!(msg.contains("data-dir"), "{msg}"),
-            other => panic!("unexpected {other:?}"),
-        }
         server.shutdown();
-    }
-
-    #[test]
-    fn seg_get_before_any_compact_is_a_clean_error() {
-        let dir = std::env::temp_dir().join(format!("ssj_serve_nocompact_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let server = Server::start(ServerConfig {
-            data_dir: Some(dir.clone()),
-            ..cfg(2)
-        })
-        .expect("valid config");
-        let h = server.handle();
-        match h.call(Request::SegGet { id: 0 }) {
-            Response::Error(msg) => assert!(msg.contains("compact"), "{msg}"),
-            other => panic!("unexpected {other:?}"),
-        }
-        server.shutdown();
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -90,12 +90,6 @@ pub fn parse_request(line: &str) -> Result<WireRequest, String> {
         },
         "stats" => Request::Stats,
         "compact" => Request::Compact,
-        "seg_get" => Request::SegGet {
-            id: obj
-                .get("id")
-                .ok_or_else(|| "op \"seg_get\" requires an \"id\" field".to_string())?
-                .as_u64()?,
-        },
         "tail" => Request::Tail {
             from_seq: obj
                 .get("from_seq")
@@ -258,27 +252,6 @@ pub fn encode_response(resp: &Response) -> String {
             write_escaped(&mut out, file);
             out.push('}');
         }
-        Response::SegmentSet {
-            id,
-            elems,
-            segment_seq,
-        } => {
-            let _ = write!(out, "{{\"ok\":true,\"op\":\"seg_get\",\"id\":{id},");
-            match elems {
-                Some(elems) => {
-                    out.push_str("\"found\":true,\"set\":[");
-                    for (i, e) in elems.iter().enumerate() {
-                        if i > 0 {
-                            out.push(',');
-                        }
-                        let _ = write!(out, "{e}");
-                    }
-                    out.push(']');
-                }
-                None => out.push_str("\"found\":false"),
-            }
-            let _ = write!(out, ",\"segment_seq\":{segment_seq}}}");
-        }
         Response::WalTail { from_seq, frames } => {
             let _ = write!(out, "{{\"ok\":true,\"op\":\"tail\",\"from_seq\":{from_seq}");
             match frames {
@@ -363,13 +336,6 @@ mod tests {
             parse_request(r#"{"op":"compact"}"#).unwrap(),
             WireRequest::Call {
                 req: Request::Compact,
-                deadline: None
-            }
-        );
-        assert_eq!(
-            parse_request(r#"{"op":"seg_get","id":9}"#).unwrap(),
-            WireRequest::Call {
-                req: Request::SegGet { id: 9 },
                 deadline: None
             }
         );
@@ -460,7 +426,7 @@ mod tests {
         assert!(parse_request(r#"{"op":"insert"}"#).is_err());
         assert!(parse_request(r#"{"op":"insert","set":[4294967296]}"#).is_err());
         assert!(parse_request(r#"{"op":"remove","id":-1}"#).is_err());
-        assert!(parse_request(r#"{"op":"seg_get"}"#).is_err());
+        assert!(parse_request(r#"{"op":"remove"}"#).is_err());
     }
 
     #[test]
@@ -497,16 +463,6 @@ mod tests {
                 seq: 7,
                 sets: 2,
                 file: "/tmp/x/segment-0000000000000007.seg".into(),
-            },
-            Response::SegmentSet {
-                id: 4,
-                elems: Some(vec![1, 2, 3]),
-                segment_seq: 7,
-            },
-            Response::SegmentSet {
-                id: 5,
-                elems: None,
-                segment_seq: 7,
             },
             Response::Overloaded,
             Response::Timeout,

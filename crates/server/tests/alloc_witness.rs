@@ -12,6 +12,8 @@
 //! feature-enabled one allocate bookkeeping on every lock acquisition by
 //! design. CI runs this file with `--release` and no features.
 
+#![allow(unsafe_code, reason = "the counting allocator implements GlobalAlloc")]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;

@@ -237,7 +237,7 @@ fn concurrent_compacts_and_cadence_snapshots_recover_to_the_acked_state() {
     };
     let server = Server::start(cfg.clone()).expect("server starts");
     // Oracle: every acked insert, minus every acked remove.
-    let oracle = std::sync::Mutex::new(std::collections::BTreeMap::new());
+    let oracle = parking_lot::Mutex::new(std::collections::BTreeMap::new());
     std::thread::scope(|s| {
         for t in 0..4u32 {
             let (h, oracle) = (server.handle(), &oracle);
@@ -249,11 +249,11 @@ fn concurrent_compacts_and_cadence_snapshots_recover_to_the_acked_state() {
                     }) else {
                         panic!("insert failed")
                     };
-                    oracle.lock().expect("oracle").insert(id, elems);
+                    oracle.lock().insert(id, elems);
                     if i % 3 == 0 {
                         let removed = h.call(Request::Remove { id });
                         assert!(matches!(removed, Response::Removed { found: true, .. }));
-                        oracle.lock().expect("oracle").remove(&id);
+                        oracle.lock().remove(&id);
                     }
                     let compacted = h.call(Request::Compact);
                     assert!(
@@ -274,7 +274,7 @@ fn concurrent_compacts_and_cadence_snapshots_recover_to_the_acked_state() {
             recovered.insert(u64::from(*local) * n + shard, elems.clone());
         }
     }
-    assert_eq!(recovered, oracle.into_inner().expect("oracle"));
+    assert_eq!(recovered, oracle.into_inner());
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -42,9 +42,8 @@
 //! logical write history; and per-shard file order equals per-shard
 //! mutation order, which is what makes replayed id assignment exact.
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 
 pub mod segment;
 pub mod snapshot;
@@ -530,23 +529,6 @@ impl Store {
         wal.last_sync = Instant::now();
         Ok(())
     }
-
-    /// Point-reads shard-local id `local` from shard `shard`'s newest
-    /// snapshot segment. `None` before the shard's first snapshot;
-    /// otherwise the snapshot's watermark, with the set copied into `out`
-    /// (left empty and reported absent when the id is not live there).
-    pub fn snapshot_get(
-        &self,
-        shard: usize,
-        local: u64,
-        out: &mut Vec<u32>,
-    ) -> io::Result<Option<(u64, bool)>> {
-        let Some(mut seg) = snapshot::open_snapshot(&self.dir, shard, self.cfg.shards)? else {
-            return Ok(None);
-        };
-        let found = seg.lookup(local, &mut segment::BlockCache::new(0), out)?;
-        Ok(Some((seg.stamp().seq, found)))
-    }
 }
 
 #[cfg(test)]
@@ -851,16 +833,6 @@ mod tests {
         // The owner's own snapshot of the same state is the same bytes.
         store.snapshot(17, &vec![state.clone(); 4]).unwrap();
         assert_eq!(fs::read(dir.join("shard-1.snap")).unwrap(), bytes);
-        let mut out = Vec::new();
-        assert_eq!(
-            store.snapshot_get(1, 2, &mut out).unwrap(),
-            Some((17, true))
-        );
-        assert_eq!(out, vec![9]);
-        assert_eq!(
-            store.snapshot_get(1, 1, &mut out).unwrap(),
-            Some((17, false))
-        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -874,10 +846,6 @@ mod tests {
         }
         // Nothing was staged, renamed, or even created.
         assert!(!dir.exists(), "a refused image must leave no file behind");
-        // A snapshot-less shard has nothing to point-read.
-        let (store, _) = Store::open(&dir, cfg(2, SyncMode::Every)).unwrap();
-        assert_eq!(store.snapshot_get(0, 0, &mut Vec::new()).unwrap(), None);
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! Figure 16 ([`string_join`]).
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo)]
 
 pub mod edit;
 pub mod idf;

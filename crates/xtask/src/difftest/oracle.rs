@@ -9,6 +9,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ssj_baselines::{IdentityScheme, LshJaccard, NaiveJoin, PrefixFilter, PrefixFilterConfig};
+use ssj_core::hash::FxHashMap;
 use ssj_core::join::{join, self_join, JoinOptions};
 use ssj_core::partenum::{GeneralPartEnum, PartEnumHamming, PartEnumJaccard, PartEnumParams};
 use ssj_core::predicate::Predicate;
@@ -262,7 +263,7 @@ fn cluster_pairs_at(
     let mut router = Router::new(sim, ring, 0);
     let mut scratch = RouterScratch::default();
 
-    let mut id_of = std::collections::HashMap::new();
+    let mut id_of = FxHashMap::default();
     for i in 0..collection.len() {
         let ack = router
             .route_insert(collection.set(i as u32), &mut scratch)
@@ -433,7 +434,7 @@ fn serve_pairs(w: &AdversarialWorkload, workers: usize) -> RunResult {
         ));
     }
     // Global id → input index (duplicates get distinct ids).
-    let mut id_of = std::collections::HashMap::new();
+    let mut id_of = FxHashMap::default();
     for (i, line) in lines[..collection.len()].iter().enumerate() {
         let id = extract_u64(line, "\"id\":")
             .ok_or_else(|| format!("insert {i} answered without an id: {line}"))?;

@@ -71,8 +71,6 @@ pub enum Kind {
     Alloc,
     /// Copy of a (potentially) heap-owning value.
     Clone,
-    /// Default-hasher map construction.
-    Hasher,
     /// File-creating write (`File::create(`, `fs::write(`).
     Create,
     /// Raw byte write: dirties the file.

@@ -14,13 +14,12 @@
 //! | `hot-alloc`          | heap allocation in a hot function (`Vec::new`, `vec!`, `Box::new`, `String::from`, `format!`, `.to_vec()`, `.collect()`, …) |
 //! | `hot-alloc-loop`     | the same, inside a loop body / per-item iterator closure — an allocation per element, not per call |
 //! | `hot-clone`          | `.clone()` / `.cloned()` / `.to_owned()` of a (potentially) heap-owning value in a hot function |
-//! | `hot-default-hasher` | bare `HashMap`/`HashSet` construction in a hot function (SipHash; use `FxHashMap`/`FxHashSet`) |
 //! | `hot-blocking`       | a blocking operation (locklint's registry: fsync/write/accept/recv/send/sleep), or a call that may reach one, in a hot function |
 //! | `hot-scratch`        | a `let`-bound fresh collection at body top level of a hot function — a per-call temporary that should be a caller-provided scratch buffer |
 //! | `hotlint-annotation` | malformed suppression annotation (unknown rule or empty justification) |
 //!
 //! Events come from the shared engine ([`crate::engine`]) under this
-//! pass's table: allocation, clone and default-hasher tokens, locklint's
+//! pass's table: allocation and clone tokens, locklint's
 //! blocking registry, and calls — minus [`CALL_CUT`] and
 //! constructor-convention names. Deliberate violations carry the engine's
 //! in-source annotation (`// hotlint: allow(hot-scratch[, fn]): reason…`).
@@ -49,8 +48,6 @@ pub const HOT_ALLOC: &str = "hot-alloc";
 pub const HOT_ALLOC_LOOP: &str = "hot-alloc-loop";
 /// Rule id: clone of a heap-owning value in a hot function.
 pub const HOT_CLONE: &str = "hot-clone";
-/// Rule id: default-hasher map construction in a hot function.
-pub const HOT_HASHER: &str = "hot-default-hasher";
 /// Rule id: blocking operation reachable from a hot function.
 pub const HOT_BLOCKING: &str = "hot-blocking";
 /// Rule id: per-call temporary that should be caller-provided scratch.
@@ -59,11 +56,10 @@ pub const HOT_SCRATCH: &str = "hot-scratch";
 pub const ANNOTATION_RULE: &str = "hotlint-annotation";
 
 /// The analysis rules an annotation may suppress.
-pub const SUPPRESSIBLE_RULES: [&str; 6] = [
+pub const SUPPRESSIBLE_RULES: [&str; 5] = [
     HOT_ALLOC,
     HOT_ALLOC_LOOP,
     HOT_CLONE,
-    HOT_HASHER,
     HOT_BLOCKING,
     HOT_SCRATCH,
 ];
@@ -167,9 +163,8 @@ pub const HOT_TOKENS: &[(&str, Kind)] = &[
     (".to_owned(", Kind::Clone),
 ];
 
-/// Allocating constructor types and default-hasher map types (matched as
-/// `Type::ctor(` at a word boundary, so the blessed `FxHashMap`/`FxHashSet`
-/// aliases never trip it).
+/// Allocating constructor types (matched as `Type::ctor(` at a word
+/// boundary).
 pub const HOT_CTORS: &[(&str, Kind)] = &[
     ("Vec", Kind::Alloc),
     ("Box", Kind::Alloc),
@@ -177,8 +172,6 @@ pub const HOT_CTORS: &[(&str, Kind)] = &[
     ("VecDeque", Kind::Alloc),
     ("BTreeMap", Kind::Alloc),
     ("BTreeSet", Kind::Alloc),
-    ("HashMap", Kind::Hasher),
-    ("HashSet", Kind::Hasher),
 ];
 
 /// The hotlint pass.
@@ -277,19 +270,6 @@ fn analyze(files: &[FileExtract]) -> Analysis {
                     format!(
                         "hot function `{}` copies a (potentially) heap-owning value \
                          (`.{}()`); borrow or reuse instead",
-                        f.name, what
-                    ),
-                ),
-                Event::Token {
-                    kind: Kind::Hasher,
-                    what,
-                    site,
-                } => (
-                    HOT_HASHER,
-                    site.line,
-                    format!(
-                        "hot function `{}` builds a default-hasher map (`{}`); use \
-                         `FxHashMap`/`FxHashSet`",
                         f.name, what
                     ),
                 ),
@@ -409,23 +389,6 @@ fn unrelated() { let v = vec![1]; }
             !f.iter().any(|v| v.line == 11),
             "unrelated() must stay cold: {f:#?}"
         );
-    }
-
-    #[test]
-    fn default_hasher_fires_but_fx_alias_does_not() {
-        let src = "\
-fn intersection_size(a: &[u32]) -> usize {
-    let m = HashMap::new();
-    let f = FxHashMap::default();
-    a.len()
-}
-";
-        let f = findings_of(src);
-        assert!(
-            f.iter().any(|v| v.rule == HOT_HASHER && v.line == 2),
-            "{f:#?}"
-        );
-        assert!(!f.iter().any(|v| v.line == 3), "{f:#?}");
     }
 
     #[test]

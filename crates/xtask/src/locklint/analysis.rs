@@ -217,7 +217,7 @@ fn held_names(held: &[Held]) -> String {
     format!("`{}`", names.join("`, `"))
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(clippy::too_many_arguments, reason = "a site and two accumulators")]
 fn order_check(
     held: &[Held],
     class: usize,

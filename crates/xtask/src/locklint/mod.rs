@@ -27,7 +27,7 @@
 //! | `blocking-under-lock` | fsync/write/accept/recv/send/sleep (or a call that may reach one) while any lock is held |
 //! | `guard-lifetime`      | a guard stored into an `Option`/collection at the acquisition site |
 //! | `locklint-annotation` | malformed suppression annotation (unknown rule or empty justification) |
-//! | `locklint-scope`      | any annotation inside `crates/core` (zero-allowlist policy, as for `xtask lint`) |
+//! | `locklint-scope`      | any annotation inside `crates/core` (zero-allowlist policy: core's lock discipline has no exemptions) |
 //!
 //! Deliberate violations carry the engine's in-source annotation
 //! (`// locklint: allow(blocking-under-lock[, fn]): reason…`), and

@@ -1,6 +1,3 @@
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
-
 //! `cargo xtask` — workspace automation CLI.
 //!
 //! Wired up through the repo-level `.cargo/config.toml` alias:
@@ -14,8 +11,6 @@ const USAGE: &str = "\
 usage: cargo xtask <command>
 
 commands:
-  lint [--root <dir>]   run the repo-specific static-analysis pass
-                        (exit 0 = clean, 1 = violations, 2 = engine error)
   locklint [options]    interprocedural lock-order & blocking-under-lock
                         analysis over the concurrent subsystem
                         (exit 0 = clean, 1 = findings, 2 = engine error)
@@ -24,8 +19,7 @@ commands:
   hotlint [options]     hot-path allocation/copy analysis: propagates a
                         \"hot\" property from the verify/query/signature/
                         WAL roots through the call graph and reports
-                        allocations, clones, default-hasher maps, and
-                        blocking I/O on hot paths
+                        allocations, clones, and blocking I/O on hot paths
                         (exit 0 = clean, 1 = findings, 2 = engine error)
     --root <dir>        workspace root (default: walk up from cwd)
     --json              machine-readable report (findings + suppressions)
@@ -59,7 +53,6 @@ commands:
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => lint(&args[1..]),
         Some("locklint") => lint_pass(&xtask::locklint::PASS, &args[1..]),
         Some("hotlint") => lint_pass(&xtask::hotlint::PASS, &args[1..]),
         Some("durlint") => lint_pass(&xtask::durlint::PASS, &args[1..]),
@@ -184,48 +177,6 @@ fn crashtest(args: &[String]) -> ExitCode {
     }
 }
 
-fn lint(args: &[String]) -> ExitCode {
-    let mut root: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--root" => match it.next() {
-                Some(dir) => root = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("error: --root needs a directory argument");
-                    return ExitCode::from(2);
-                }
-            },
-            other => {
-                eprintln!("error: unknown lint option `{other}`\n\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    let root = match resolve_root(root) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    match xtask::run_lint(&root) {
-        Ok(violations) if violations.is_empty() => {
-            println!("xtask lint: clean ({})", root.display());
-            ExitCode::SUCCESS
-        }
-        Ok(violations) => {
-            for v in &violations {
-                println!("{v}");
-            }
-            println!("xtask lint: {} violation(s)", violations.len());
-            ExitCode::from(1)
-        }
-        Err(err) => {
-            eprintln!("error: {err}");
-            ExitCode::from(2)
-        }
-    }
-}
-
 /// `locklint` / `hotlint` / `durlint`: `[--root <dir>] [--json]`.
 fn lint_pass(pass: &'static Pass, args: &[String]) -> ExitCode {
     let mut root: Option<PathBuf> = None;
@@ -272,7 +223,7 @@ fn lint_pass(pass: &'static Pass, args: &[String]) -> ExitCode {
     }
 }
 
-/// Resolves the workspace root for lint-style subcommands: an explicit
+/// Resolves the workspace root for the lint passes: an explicit
 /// `--root`, else the nearest `[workspace]` manifest above the cwd.
 fn resolve_root(root: Option<PathBuf>) -> Result<PathBuf, ExitCode> {
     let root = match root {

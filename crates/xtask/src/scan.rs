@@ -1,12 +1,13 @@
 //! Source masking: turns Rust source into "code-only" lines.
 //!
-//! The lint rules are token-level, so before matching we blank out (replace
-//! with spaces) everything that is not executable library code:
+//! The engine's extractor ([`crate::engine`]) is token-level, so before
+//! matching we blank out (replace with spaces) everything that is not
+//! executable library code:
 //!
 //! * line comments (`//`, `///`, `//!`) and (nested) block comments,
 //! * string literals (plain, raw `r"…"`/`r#"…"#`) and char literals,
 //! * regions gated behind `#[cfg(test)]` / `#[test]` attributes — the
-//!   repo-wide convention for unit-test modules, which the panic rules
+//!   repo-wide convention for unit-test modules, which the passes
 //!   deliberately exempt.
 //!
 //! Masking preserves line structure byte-for-byte (each masked character
@@ -179,7 +180,7 @@ fn char_literal_len(bytes: &[u8], i: usize) -> Option<usize> {
 }
 
 /// Blanks every region gated behind `#[cfg(test)]` or `#[test]` in
-/// already-masked source, so the rules only see non-test library code.
+/// already-masked source, so the passes only see non-test library code.
 ///
 /// The scanner tracks brace depth: after a test attribute, everything up to
 /// the end of the next item (its matching `}` — or `;` for brace-less
@@ -237,14 +238,6 @@ fn starts_with_test_attr(rest: &[u8]) -> bool {
         || compact.starts_with(b"#[test]")
 }
 
-/// Fully prepared lines for rule matching: masked and test-stripped.
-pub fn rule_lines(source: &str) -> Vec<String> {
-    strip_test_regions(&mask_non_code(source))
-        .lines()
-        .map(str::to_string)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,8 +285,7 @@ mod tests {
     #[test]
     fn strips_cfg_test_modules() {
         let src = "fn lib() { x.unwrap_or(0); }\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\nfn tail() {}\n";
-        let lines = rule_lines(src);
-        let joined = lines.join("\n");
+        let joined = strip_test_regions(&mask_non_code(src));
         assert!(!joined.contains(".unwrap()"));
         assert!(joined.contains("unwrap_or"));
         assert!(joined.contains("fn tail()"));
@@ -302,7 +294,7 @@ mod tests {
     #[test]
     fn strips_test_fns_and_braceless_items() {
         let src = "#[test]\nfn t() { panic!(); }\nfn real() {}\n#[cfg(test)]\nuse foo::bar;\nfn also_real() {}\n";
-        let joined = rule_lines(src).join("\n");
+        let joined = strip_test_regions(&mask_non_code(src));
         assert!(!joined.contains("panic!"));
         assert!(!joined.contains("foo::bar"));
         assert!(joined.contains("fn real()"));

@@ -24,7 +24,6 @@ fn hotbad_fixture_trips_every_rule() {
         hotlint::HOT_ALLOC,
         hotlint::HOT_ALLOC_LOOP,
         hotlint::HOT_CLONE,
-        hotlint::HOT_HASHER,
         hotlint::HOT_BLOCKING,
         hotlint::HOT_SCRATCH,
         hotlint::ANNOTATION_RULE,
@@ -62,8 +61,6 @@ fn hotbad_fixture_pinpoints_the_right_sites() {
     assert_eq!(at(hotlint::HOT_ALLOC), vec![10, 34]);
     // The heap-owning copy.
     assert_eq!(at(hotlint::HOT_CLONE), vec![11]);
-    // Default-hasher map construction in the query root.
-    assert_eq!(at(hotlint::HOT_HASHER), vec![20]);
     // The call that reaches the fsync, and the fsync itself (flush is hot
     // because query calls it).
     assert_eq!(at(hotlint::HOT_BLOCKING), vec![21, 26]);
@@ -96,7 +93,6 @@ fn hotbad_exits_one_and_hotclean_exits_zero() {
         "hot-alloc",
         "hot-alloc-loop",
         "hot-clone",
-        "hot-default-hasher",
         "hot-blocking",
         "hot-scratch",
         "hotlint-annotation",

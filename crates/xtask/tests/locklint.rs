@@ -136,6 +136,15 @@ fn lockbad_exits_one_and_lockclean_exits_zero() {
 }
 
 #[test]
+fn unknown_command_exits_two() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_xtask"))
+        .arg("frobnicate")
+        .output()
+        .expect("xtask binary runs");
+    assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
 fn json_report_is_well_formed() {
     let (code, stdout) = pass_exit("locklint", &fixture("lockclean"), true);
     assert_eq!(code, 0, "stdout:\n{stdout}");

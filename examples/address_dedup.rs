@@ -75,7 +75,7 @@ fn main() {
     for &(a, b) in &result.pairs {
         dsu.union(a, b);
     }
-    let mut clusters: std::collections::HashMap<u32, Vec<u32>> = Default::default();
+    let mut clusters: ssjoin::core::hash::FxHashMap<u32, Vec<u32>> = Default::default();
     for id in 0..records.len() as u32 {
         clusters.entry(dsu.find(id)).or_default().push(id);
     }

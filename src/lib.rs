@@ -10,9 +10,6 @@
 //! See `examples/` for runnable walkthroughs and `DESIGN.md` for the
 //! paper-to-module map.
 
-#![forbid(unsafe_code)]
-#![deny(rust_2018_idioms)]
-
 pub use ssj_baselines as baselines;
 pub use ssj_core as core;
 pub use ssj_datagen as datagen;

@@ -35,7 +35,7 @@ fn observed_recall_meets_target() {
         let scheme = LshJaccard::optimized(gamma, 0.95, &collection, 400, seed);
         let result = self_join(&scheme, &collection, pred, None, JoinOptions::default());
         assert!(result.approximate);
-        let exact_set: std::collections::HashSet<_> = exact.iter().copied().collect();
+        let exact_set: ssjoin::core::hash::FxHashSet<_> = exact.iter().copied().collect();
         let hit = result
             .pairs
             .iter()
