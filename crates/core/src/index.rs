@@ -700,88 +700,6 @@ impl Placement for ContentHashPlacement {
     }
 }
 
-/// A reusable signature → posting-list map built over *borrowed* set data.
-///
-/// [`SimilarityIndex`] owns its collection and grows monotonically; external
-/// executors (ssj-extern) instead rebuild a postings map once per disk
-/// partition over sets they only borrow. `SigPostings` makes that rebuild
-/// allocation-light: [`SigPostings::clear`] recycles every posting list, so
-/// loading the next partition reuses the buffers the previous one grew.
-///
-/// Accounting is deterministic: [`SigPostings::approx_bytes`] depends only
-/// on the entry and posting counts, never on allocator behavior, so a
-/// memory-budget ledger charging it reproduces exactly across runs.
-#[derive(Debug, Default)]
-pub struct SigPostings {
-    map: FxHashMap<Signature, Vec<SetId>>,
-    /// Recycled posting lists (with their capacity) awaiting reuse.
-    free: Vec<Vec<SetId>>,
-    postings: usize,
-}
-
-/// Deterministic per-entry charge for [`SigPostings::approx_bytes`]: key,
-/// `Vec` header, and amortized hash-table slot overhead.
-pub const SIG_POSTING_ENTRY_BYTES: usize = 48;
-
-impl SigPostings {
-    /// An empty map.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends `id` to the posting list of `sig`.
-    pub fn insert(&mut self, sig: Signature, id: SetId) {
-        let free = &mut self.free;
-        self.map
-            .entry(sig)
-            .or_insert_with(|| free.pop().unwrap_or_default())
-            .push(id);
-        self.postings += 1;
-    }
-
-    /// Number of distinct signatures.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no postings have been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Total postings across all lists.
-    pub fn postings(&self) -> usize {
-        self.postings
-    }
-
-    /// Deterministic resident-size estimate: entries × fixed overhead plus
-    /// 4 bytes per posting. Used by memory-budget ledgers; independent of
-    /// allocator rounding so accounted peaks are exactly reproducible.
-    pub fn approx_bytes(&self) -> u64 {
-        (self.map.len() * SIG_POSTING_ENTRY_BYTES + self.postings * 4) as u64
-    }
-
-    /// The posting lists, in map order (order is deterministic for a fixed
-    /// insert sequence but otherwise unspecified — callers needing a stable
-    /// result must sort what they derive from it).
-    pub fn lists(&self) -> impl Iterator<Item = &[SetId]> + '_ {
-        self.map.values().map(Vec::as_slice)
-    }
-
-    /// Empties the map, recycling every posting list's capacity for the
-    /// next build.
-    pub fn clear(&mut self) {
-        let free = &mut self.free;
-        for slot in self.map.values_mut() {
-            let mut list = std::mem::take(slot);
-            list.clear();
-            free.push(list);
-        }
-        self.map.clear();
-        self.postings = 0;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,12 +6,12 @@
 //!
 //! 1–2. generate signatures for each input set, as flat `(signature, set)`
 //!      records (each set's signatures sorted and deduplicated);
-//! 3.   group the records by signature: radix-partition them by signature
-//!      bits, sort each partition, and keep every run of equal signatures
-//!      that holds a pair as a bucket — its members in ascending set order.
-//!      The buckets become per-set partner lists through the shared
-//!      count → prefix sum → fill → dedup kernel of [`crate::partners`]
-//!      (the one `ssj-extern` runs per spill partition);
+//! 3.   group the records by signature: sort them, and keep every run of
+//!      equal signatures that holds a pair as a bucket — its members in
+//!      ascending set order — with the run walk of [`crate::partners`]
+//!      (the one `ssj-extern` runs per spill partition). The buckets become
+//!      per-set partner lists through the shared count → prefix sum →
+//!      fill → dedup kernel there;
 //! 4.   walk the sets in ascending order and each set's partners in
 //!      ascending order, and post-filter every candidate with the actual
 //!      predicate (bitmap bound first, then the exact merge).
@@ -20,13 +20,13 @@
 //! is sorted without a pair sort. The driver is instrumented with the
 //! Section 3.2 measures (see [`crate::stats::JoinStats`]) and with
 //! `threads > 1` runs every step on scoped workers: each signs a range of
-//! sets, then owns a range of partitions and sorts only those, and the
-//! verify walk splits the sets into ranges with about equal partner
-//! totals.
+//! sets and sorts its own records, then walks one signature range across
+//! every worker's records, and the verify walk splits the sets into ranges
+//! with about equal partner totals.
 
 use crate::partners::{
     count_bucket_partners, count_cross_partners, dedup_partner_lists, fill_bucket_partners,
-    fill_cross_partners,
+    fill_cross_partners, Runs, SigRecord,
 };
 use crate::predicate::Predicate;
 use crate::set::{SetCollection, SetId, WeightMap};
@@ -102,15 +102,6 @@ pub struct JoinResult {
 const PARALLEL_MIN_SETS: usize = 1024;
 /// Fewest candidates for which the verify walk uses more than one thread.
 const PARALLEL_MIN_CANDIDATES: usize = 4096;
-/// Records per radix partition the grouping aims for, so that sorting
-/// one partition stays in cache.
-const PARTITION_RECORDS: usize = 4096;
-/// Most radix bits (4096 partitions).
-const MAX_PARTITION_BITS: u32 = 12;
-
-/// One signature occurrence: `(signature, set)`. Sorted records group
-/// equal signatures into runs whose members ascend.
-type SigRecord = (Signature, SetId);
 
 /// Unwraps a scoped worker's result, forwarding a worker panic to the
 /// caller's thread instead of swallowing it.
@@ -153,27 +144,6 @@ fn even_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Radix bits for `records` records: about [`PARTITION_RECORDS`] per
-/// partition, at least two partitions.
-fn partition_bits(records: usize) -> u32 {
-    (usize::BITS - (records / PARTITION_RECORDS).leading_zeros()).clamp(1, MAX_PARTITION_BITS)
-}
-
-/// The partition of `sig` under `bits` radix bits: the top bits of a
-/// Fibonacci hash, so signatures that are small integers (the identity
-/// scheme's) spread as evenly as hashed ones.
-#[inline]
-fn partition_of(sig: Signature, bits: u32) -> usize {
-    crate::cast::usize_of_u64(sig.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - bits))
-}
-
-/// One worker's signature records, permuted so each radix partition is
-/// contiguous: partition `p` is `records[starts[p]..starts[p + 1]]`.
-struct Partitioned {
-    records: Vec<SigRecord>,
-    starts: Vec<usize>,
-}
-
 /// Steps 1–2 for the sets in `ids`: one record per distinct signature of
 /// each set, in set order.
 fn sign_range(
@@ -195,35 +165,6 @@ fn sign_range(
     records
 }
 
-/// Permutes `records` in place so that each of the `2^bits` radix
-/// partitions is contiguous (one digit of an American flag sort) and
-/// returns the partition starts, `2^bits + 1` of them.
-fn partition_records(records: &mut [SigRecord], bits: u32) -> Vec<usize> {
-    let parts = 1usize << bits;
-    let mut starts = vec![0usize; parts + 1];
-    for &(sig, _) in records.iter() {
-        starts[partition_of(sig, bits) + 1] += 1;
-    }
-    for p in 0..parts {
-        starts[p + 1] += starts[p];
-    }
-    let mut heads = starts[..parts].to_vec();
-    for p in 0..parts {
-        while heads[p] < starts[p + 1] {
-            let mut record = records[heads[p]];
-            let mut dest = partition_of(record.0, bits);
-            while dest != p {
-                std::mem::swap(&mut record, &mut records[heads[dest]]);
-                heads[dest] += 1;
-                dest = partition_of(record.0, bits);
-            }
-            records[heads[p]] = record;
-            heads[p] += 1;
-        }
-    }
-    starts
-}
-
 /// Steps 1–2 on `workers` threads, each signing a range of sets.
 fn sign_records(
     scheme: &impl SignatureScheme,
@@ -240,94 +181,61 @@ fn record_count(chunks: &[Vec<SigRecord>]) -> u64 {
     chunks.iter().map(|c| c.len() as u64).sum()
 }
 
-/// Radix-partitions every worker's records in place, each on its own
-/// thread.
-fn partition_chunks(chunks: Vec<Vec<SigRecord>>, bits: u32) -> Vec<Partitioned> {
-    on_each(chunks, |mut records| {
-        let starts = partition_records(&mut records, bits);
-        Partitioned { records, starts }
+/// Worker `w`'s piece of every sorted chunk: from the first record at or
+/// past pivot `w − 1` (or the start) to the first at or past pivot `w`
+/// (or the end).
+fn key_range<'a>(
+    chunks: &'a [Vec<SigRecord>],
+    pivots: &[Signature],
+    w: usize,
+) -> Vec<&'a [SigRecord]> {
+    let cut = |chunk: &[SigRecord], i: usize| match i {
+        0 => 0,
+        _ => pivots.get(i - 1).map_or(chunk.len(), |&pivot| {
+            chunk.partition_point(|rec| rec.0 < pivot)
+        }),
+    };
+    chunks
+        .iter()
+        .map(|c| &c[cut(c, w)..cut(c, w + 1)])
+        .collect()
+}
+
+/// Step 3 on `workers` threads. Each signing worker's chunk is sorted in
+/// place on its own thread; then `workers − 1` signature pivots
+/// (quantiles of the largest chunk) split the key space, worker `w` cuts
+/// its key range out of every chunk with one `partition_point` per pivot
+/// and merge-walks those pieces into runs. A run never straddles a cut,
+/// so each bucket is whole in one worker. `s` is `None` for a self-join.
+/// The records are freed on return, before the partner lists are built.
+fn group_records(
+    r: Vec<Vec<SigRecord>>,
+    s: Option<Vec<Vec<SigRecord>>>,
+    workers: usize,
+) -> Vec<Runs> {
+    let sort = |mut chunk: Vec<SigRecord>| {
+        chunk.sort_unstable();
+        chunk
+    };
+    let r = on_each(r, sort);
+    let s = s.map(|s| on_each(s, sort));
+    let largest = r.iter().chain(s.iter().flatten()).max_by_key(|c| c.len());
+    let largest = largest.map_or(&[][..], Vec::as_slice);
+    let pivots: Vec<Signature> = (1..workers)
+        .filter_map(|w| largest.get(largest.len() * w / workers))
+        .map(|rec| rec.0)
+        .collect();
+    on_each((0..workers).collect(), |w| {
+        let mut runs = Runs::with_capacity(0);
+        match &s {
+            None => runs.walk_self_runs(&mut key_range(&r, &pivots, w)),
+            Some(s) => runs.walk_cross_runs(
+                &mut key_range(&r, &pivots, w),
+                &mut key_range(s, &pivots, w),
+            ),
+        }
+        runs
     })
-}
-
-/// Copies partition `p` of every worker's records into `out`.
-fn gather_partition(chunks: &[Partitioned], p: usize, out: &mut Vec<SigRecord>) {
-    out.clear();
-    for chunk in chunks {
-        out.extend_from_slice(&chunk.records[chunk.starts[p]..chunk.starts[p + 1]]);
-    }
-}
-
-/// The buckets one grouping worker kept: bucket `i` is
-/// `members[ends[i]..ends[i + 1]]` (`ends[0] = 0`). An R–S bucket takes
-/// two consecutive ranges: its R members, then its S members.
-struct Runs {
-    members: Vec<SetId>,
-    ends: Vec<usize>,
-}
-
-impl Runs {
-    fn new() -> Self {
-        Self {
-            members: Vec::new(),
-            ends: vec![0],
-        }
-    }
-
-    fn push_run(&mut self, run: &[SigRecord]) {
-        self.members.extend(run.iter().map(|&(_, id)| id));
-        self.ends.push(self.members.len());
-    }
-
-    fn self_buckets(&self) -> impl Iterator<Item = &[SetId]> + '_ {
-        self.ends.windows(2).map(|w| &self.members[w[0]..w[1]])
-    }
-
-    fn cross_buckets(&self) -> impl Iterator<Item = (&[SetId], &[SetId])> + '_ {
-        self.ends
-            .windows(3)
-            .step_by(2)
-            .map(|w| (&self.members[w[0]..w[1]], &self.members[w[1]..w[2]]))
-    }
-}
-
-/// Step 3 for one worker of a self-join: sorts each partition in `parts`
-/// and keeps every run of two or more equal signatures.
-fn self_runs(chunks: &[Partitioned], parts: Range<usize>) -> Runs {
-    let mut runs = Runs::new();
-    let mut records = Vec::new();
-    for p in parts {
-        gather_partition(chunks, p, &mut records);
-        records.sort_unstable();
-        for run in records.chunk_by(|a, b| a.0 == b.0) {
-            if run.len() >= 2 {
-                runs.push_run(run);
-            }
-        }
-    }
-    runs
-}
-
-/// Step 3 for one worker of an R–S join: sorts each side of each
-/// partition in `parts` and keeps every signature run present on both.
-fn cross_runs(r: &[Partitioned], s: &[Partitioned], parts: Range<usize>) -> Runs {
-    let mut runs = Runs::new();
-    let (mut r_records, mut s_records) = (Vec::new(), Vec::new());
-    for p in parts {
-        gather_partition(r, p, &mut r_records);
-        gather_partition(s, p, &mut s_records);
-        r_records.sort_unstable();
-        s_records.sort_unstable();
-        let mut s_runs = s_records.chunk_by(|a, b| a.0 == b.0).peekable();
-        for r_run in r_records.chunk_by(|a, b| a.0 == b.0) {
-            let sig = r_run[0].0;
-            while s_runs.next_if(|s_run| s_run[0].0 < sig).is_some() {}
-            if let Some(s_run) = s_runs.next_if(|s_run| s_run[0].0 == sig) {
-                runs.push_run(r_run);
-                runs.push_run(s_run);
-            }
-        }
-    }
-    runs
 }
 
 /// Deduplicated candidates: set `a`'s partners are
@@ -384,23 +292,6 @@ impl PartnerLists {
             pairs.extend(list.iter().map(|&b| (id, b)));
         }
         pairs
-    }
-}
-
-/// Step 3 of either join: groups the partitioned records on `workers`
-/// threads, each owning a range of the `2^bits` partitions. `s` is
-/// `None` for a self-join. The records are freed on return, before the
-/// partner lists are built.
-fn group_runs(
-    r: Vec<Partitioned>,
-    s: Option<Vec<Partitioned>>,
-    bits: u32,
-    workers: usize,
-) -> Vec<Runs> {
-    let parts = even_ranges(1 << bits, workers);
-    match &s {
-        None => on_each(parts, |range| self_runs(&r, range)),
-        Some(s) => on_each(parts, |range| cross_runs(&r, s, range)),
     }
 }
 
@@ -690,8 +581,7 @@ pub fn self_join(
     stats.sig_gen_secs = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
-    let bits = partition_bits(crate::cast::usize_of_u64(stats.signatures_r));
-    let runs = group_runs(partition_chunks(records, bits), None, bits, workers);
+    let runs = group_records(records, None, workers);
     let lists = PartnerLists::from_runs(runs, collection.len(), false);
     stats.signature_collisions = lists.collisions;
     stats.candidate_pairs = lists.partners.len() as u64;
@@ -746,13 +636,9 @@ pub fn join(
     stats.sig_gen_secs = t0.elapsed().as_secs_f64();
 
     let t1 = Instant::now();
-    let bits = partition_bits(crate::cast::usize_of_u64(
-        stats.signatures_r + stats.signatures_s,
-    ));
-    let runs = group_runs(
-        partition_chunks(records_r, bits),
-        Some(partition_chunks(records_s, bits)),
-        bits,
+    let runs = group_records(
+        records_r,
+        Some(records_s),
         workers_for(opts.threads, r.len() + s.len()),
     );
     let lists = PartnerLists::from_runs(runs, r.len(), true);
@@ -976,6 +862,68 @@ mod tests {
         // Every reported output pair truly satisfies the predicate.
         for &(a, b) in &result.pairs {
             assert!(jaccard(collection.set(a), collection.set(b)) + 1e-9 >= 0.7);
+        }
+    }
+
+    /// Sets `{i % 7, 500, 1000 + i}`: under the identity scheme each
+    /// signing chunk sorts into thirds — the low signatures, one run of
+    /// signature 500, the unique ones — so signature 500's run spans
+    /// every chunk and a grouping pivot falls on it at 2, 3 and 4 threads.
+    fn shared_run_collection(n: usize) -> SetCollection {
+        (0..n as u32).map(|i| vec![i % 7, 500, 1000 + i]).collect()
+    }
+
+    #[test]
+    fn a_run_across_every_chunk_is_cut_whole() {
+        let r = shared_run_collection(PARALLEL_MIN_SETS);
+        let s = shared_run_collection(PARALLEL_MIN_SETS + 8);
+        let pred = Predicate::Jaccard { gamma: 0.5 };
+        let self_one = self_join(&Identity, &r, pred, None, JoinOptions::sequential());
+        let cross_one = join(&Identity, &r, &s, pred, None, JoinOptions::sequential());
+        let mut expected_cross = Vec::new();
+        for a in 0..r.len() as SetId {
+            for b in 0..s.len() as SetId {
+                if pred.evaluate(r.set(a), s.set(b), None) {
+                    expected_cross.push((a, b));
+                }
+            }
+        }
+        assert_eq!(self_one.pairs, naive_self(&r, pred));
+        assert_eq!(cross_one.pairs, expected_cross);
+        let n = r.len() as u64;
+        // Every pair shares 500; pairs with equal `i % 7` share a second.
+        let low: u64 = (0..7)
+            .map(|k| (n - k).div_ceil(7))
+            .map(|c| c * (c - 1) / 2)
+            .sum();
+        assert_eq!(self_one.stats.signature_collisions, n * (n - 1) / 2 + low);
+        assert_eq!(self_one.stats.candidate_pairs, n * (n - 1) / 2);
+        for threads in 2..=4 {
+            for c in [&r, &s] {
+                for ids in even_ranges(c.len(), threads) {
+                    let mut chunk = sign_range(&Identity, c, ids);
+                    chunk.sort_unstable();
+                    assert!(
+                        (1..threads).any(|w| chunk[chunk.len() * w / threads].0 == 500),
+                        "a pivot must fall on the shared run at {threads} threads"
+                    );
+                }
+            }
+            let opts = JoinOptions::parallel(threads);
+            for (one, par) in [
+                (&self_one, self_join(&Identity, &r, pred, None, opts)),
+                (&cross_one, join(&Identity, &r, &s, pred, None, opts)),
+            ] {
+                assert_eq!(par.pairs, one.pairs, "threads={threads}");
+                let (a, b) = (&one.stats, &par.stats);
+                assert_eq!(a.signatures_r, b.signatures_r, "threads={threads}");
+                assert_eq!(a.signatures_s, b.signatures_s, "threads={threads}");
+                assert_eq!(
+                    a.signature_collisions, b.signature_collisions,
+                    "threads={threads}"
+                );
+                assert_eq!(a.candidate_pairs, b.candidate_pairs, "threads={threads}");
+            }
         }
     }
 

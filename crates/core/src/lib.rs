@@ -81,8 +81,7 @@ pub mod wtenum;
 
 pub use error::{Result, SsjError};
 pub use index::{
-    content_hash_of, shard_of, ContentHashPlacement, JaccardIndex, Placement, SigPostings,
-    SimilarityIndex,
+    content_hash_of, shard_of, ContentHashPlacement, JaccardIndex, Placement, SimilarityIndex,
 };
 pub use join::{join, self_join, JoinOptions, JoinResult};
 pub use partenum::{GeneralPartEnum, PartEnumHamming, PartEnumJaccard, PartEnumParams};

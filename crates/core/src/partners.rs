@@ -1,9 +1,16 @@
-//! Partner lists: the candidate layout both join executors share.
+//! Runs and partner lists: the grouping and candidate layout both join
+//! executors share.
 //!
-//! A *bucket* is the list of sets that share one signature, in ascending
-//! set order. Every two members of a bucket collide; the join needs each
-//! distinct colliding pair once. Three steps turn buckets into per-set
-//! partner lists without ever materialising a pair:
+//! Step 3 of Figure 2 groups `(signature, set)` records by signature. Both
+//! executors do it one way: sort the records, then walk the sorted runs
+//! ([`Runs::walk_self_runs`], [`Runs::walk_cross_runs`]). The walk
+//! merges any number of sorted chunks — the in-memory driver's per-worker
+//! chunks ([`crate::join`](mod@crate::join)), or one spill partition in
+//! `ssj-extern` — and keeps every run that holds a pair as a *bucket*: the
+//! sets that share one signature, in ascending set order. Every two members of a bucket
+//! collide; the join needs each distinct colliding pair once. Three steps
+//! turn buckets into per-set partner lists without ever materialising a
+//! pair:
 //!
 //! 1. **count** — every member's partner count (its higher members, or
 //!    for an R–S bucket every S member) into `counts[set]`;
@@ -15,13 +22,119 @@
 //!
 //! Set `a`'s distinct partners then sit ascending at
 //! `partners[offsets[a]..offsets[a + 1]]`, so walking the sets in order
-//! visits the candidates in ascending `(a, b)` order. The in-memory
-//! driver ([`crate::join`]) feeds the runs of its sorted signature
-//! records; `ssj-extern` feeds one spill partition's posting lists at a
-//! time. Count and fill are hotlint hot roots and allocate nothing
-//! (pinned by `tests/alloc_witness.rs`).
+//! visits the candidates in ascending `(a, b)` order. The run walk, count
+//! and fill are hotlint hot roots; with warmed buffers they allocate
+//! nothing (pinned by `tests/alloc_witness.rs` here and in `ssj-extern`).
 
 use crate::set::SetId;
+use crate::signature::Signature;
+
+/// One signature occurrence: `(signature, set)`. Sorted records group
+/// equal signatures into runs whose members ascend.
+pub type SigRecord = (Signature, SetId);
+
+/// The buckets a run walk kept: bucket `i` is
+/// `members[ends[i]..ends[i + 1]]` (`ends[0] = 0`). An R–S bucket takes
+/// two consecutive ranges: its R members, then its S members.
+#[derive(Debug)]
+pub struct Runs {
+    members: Vec<SetId>,
+    ends: Vec<usize>,
+}
+
+impl Runs {
+    /// Room for a self walk over `records` records without growing: each
+    /// record is at most one member, and every kept run holds two or more.
+    pub fn with_capacity(records: usize) -> Self {
+        let mut ends = Vec::with_capacity(records / 2 + 1);
+        ends.push(0);
+        Self {
+            members: Vec::with_capacity(records),
+            ends,
+        }
+    }
+
+    /// Bytes the two buffers hold: 4 per member slot, 8 per run end slot.
+    pub fn capacity_bytes(&self) -> u64 {
+        (self.members.capacity() * size_of::<SetId>() + self.ends.capacity() * size_of::<usize>())
+            as u64
+    }
+
+    /// Drops every kept run, keeping the buffers' capacity.
+    pub fn clear(&mut self) {
+        self.members.clear();
+        self.ends.truncate(1);
+    }
+
+    /// Self-join walk: merges the sorted record chunks `heads` (each
+    /// advanced to its end) and keeps every run of two or more equal
+    /// signatures. Chunks must hold ascending set ranges in chunk order,
+    /// so a run's members ascend.
+    pub fn walk_self_runs(&mut self, heads: &mut [&[SigRecord]]) {
+        while let Some(sig) = lowest_head_signature(heads) {
+            let start = self.members.len();
+            take_signature_run(heads, sig, &mut self.members);
+            if self.members.len() - start >= 2 {
+                self.ends.push(self.members.len());
+            } else {
+                self.members.truncate(start);
+            }
+        }
+    }
+
+    /// R–S walk: merges the sorted chunks of each side and keeps every
+    /// signature present on both, as its R run then its S run.
+    pub fn walk_cross_runs(&mut self, r: &mut [&[SigRecord]], s: &mut [&[SigRecord]]) {
+        while let (Some(a), Some(b)) = (lowest_head_signature(r), lowest_head_signature(s)) {
+            let sig = a.max(b);
+            let start = self.members.len();
+            take_signature_run(r, sig, &mut self.members);
+            let mid = self.members.len();
+            take_signature_run(s, sig, &mut self.members);
+            if start < mid && mid < self.members.len() {
+                self.ends.push(mid);
+                self.ends.push(self.members.len());
+            } else {
+                self.members.truncate(start);
+            }
+        }
+    }
+
+    /// The kept runs of a self walk.
+    pub fn self_buckets(&self) -> impl Iterator<Item = &[SetId]> + '_ {
+        self.ends.windows(2).map(|w| &self.members[w[0]..w[1]])
+    }
+
+    /// The kept `(R members, S members)` runs of an R–S walk.
+    pub fn cross_buckets(&self) -> impl Iterator<Item = (&[SetId], &[SetId])> + '_ {
+        self.ends
+            .windows(3)
+            .step_by(2)
+            .map(|w| (&self.members[w[0]..w[1]], &self.members[w[1]..w[2]]))
+    }
+}
+
+/// The smallest signature at the front of any chunk.
+#[inline]
+fn lowest_head_signature(heads: &[&[SigRecord]]) -> Option<Signature> {
+    heads
+        .iter()
+        .filter_map(|head| head.first())
+        .map(|rec| rec.0)
+        .min()
+}
+
+/// Advances every chunk past its records below `sig` and appends the sets
+/// of its records at `sig` to `members`, chunk by chunk.
+#[inline]
+fn take_signature_run(heads: &mut [&[SigRecord]], sig: Signature, members: &mut Vec<SetId>) {
+    for head in heads {
+        let from = head.iter().take_while(|rec| rec.0 < sig).count();
+        let to = from + head[from..].iter().take_while(|rec| rec.0 == sig).count();
+        members.extend(head[from..to].iter().map(|&(_, set)| set));
+        *head = &head[to..];
+    }
+}
 
 /// Count step over self-join buckets: for every bucket, adds `c − 1 − i`
 /// to the partner count of its `i`-th member (`counts[set]`), i.e. the

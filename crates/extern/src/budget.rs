@@ -1,9 +1,10 @@
 //! Explicit memory-budget accounting for the out-of-core executor.
 //!
 //! The executor never asks the allocator how much it used: every
-//! long-lived buffer (decoded block, slot table, spill batches, partition
-//! posting map, verification block cache) is *charged* against a ledger with a
-//! size computed deterministically from element counts. That makes the
+//! long-lived buffer (decoded block, slot table, spill batches, the
+//! probe's record buffer and runs, verification block cache) is
+//! *charged* against a ledger with a size computed deterministically from
+//! element counts. That makes the
 //! reported peak exactly reproducible run-to-run — `ssj-bench`'s
 //! `pinned_counts` test asserts it exactly — and makes "the accounted
 //! resident set stays within the budget" a checkable invariant rather
@@ -20,8 +21,8 @@ use std::io;
 /// A byte ledger with a hard limit.
 ///
 /// [`MemBudget::charge`] fails — it never silently overruns — so a
-/// workload too skewed for its budget (e.g. one partition whose posting
-/// map alone exceeds the limit) surfaces as an error instead of quietly
+/// workload too skewed for its budget (e.g. one partition whose records
+/// alone exceed the limit) surfaces as an error instead of quietly
 /// blowing past the bound it promised to respect.
 #[derive(Debug, Clone)]
 pub struct MemBudget {

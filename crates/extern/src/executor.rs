@@ -14,13 +14,14 @@
 //!    slot table: `ids[slot]`, plus each set's bitmap and exact length
 //!    when the bitmap filter is on. Every occurrence of a signature lands
 //!    in the same partition.
-//! 3. **Probe** — three steps, each partition's posting map
-//!    ([`ssj_core::SigPostings`]) rebuilt from its file when needed:
-//!    [`count_bucket_partners`] counts every slot's higher-slot partners,
-//!    a prefix sum turns the counts into per-slot offsets,
-//!    [`fill_bucket_partners`] rereads the partitions and writes every
-//!    partner into one flat `u32` array, and each slot's list is then
-//!    sorted and deduplicated in place.
+//! 3. **Probe** — three steps. Each partition is read into one reused
+//!    record buffer, sorted, and walked into its runs ([`Runs`], the
+//!    in-memory driver's grouping): [`count_bucket_partners`] counts every
+//!    slot's higher-slot partners, a prefix sum turns the counts into
+//!    per-slot offsets, [`fill_bucket_partners`] rereads, resorts and
+//!    rewalks the partitions and writes every partner into one flat `u32`
+//!    array, and each slot's list is then sorted and deduplicated in
+//!    place.
 //! 4. **Verify** — walk the slots in ascending order and each slot's
 //!    partners in ascending order, check the bitmap bound by direct index,
 //!    and fetch only the survivors back out of the segment through a
@@ -38,23 +39,26 @@ use crate::spill::{
     partition_file_name, partition_of, read_partition, remove_partitions, spill_batch_capacity,
     SpillWriter,
 };
-use ssj_core::partners::{count_bucket_partners, dedup_partner_lists, fill_bucket_partners};
+use ssj_core::cast::usize_of_u64;
+use ssj_core::partners::{
+    count_bucket_partners, dedup_partner_lists, fill_bucket_partners, Runs, SigRecord,
+};
 use ssj_core::predicate::Predicate;
 use ssj_core::set::{SetId, WeightMap};
 use ssj_core::signature::{SigScratch, Signature, SignatureScheme};
 use ssj_core::verify::BitmapIndex;
-use ssj_core::SigPostings;
 use ssj_store::segment::{BlockCache, Segment, SegmentBlock};
 use std::io::{self, ErrorKind};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Deterministic worst-case charge per spilled posting once it is loaded
-/// into a [`SigPostings`] map (every signature distinct: one 48-byte
-/// entry plus a 4-byte posting, rounded up). Partition sizing divides
-/// the index half of the budget by this.
-const POSTING_BYTES: u64 = 56;
+/// Most bytes one spilled posting costs the probe: its record in the sort
+/// buffer, its slot as a run member (4 B), and half a run end (8 B per
+/// run of two or more). Partition sizing divides the index half of the
+/// budget by this.
+const PROBE_BYTES_PER_POSTING: u64 =
+    (size_of::<SigRecord>() + size_of::<SetId>() + size_of::<usize>() / 2) as u64;
 
 /// Hard ceiling on partitions — beyond this, per-partition batch buffers
 /// dominate and more fan-out stops helping.
@@ -68,10 +72,12 @@ static SPILL_DIR_SALT: AtomicU64 = AtomicU64::new(0);
 /// Tuning for [`external_self_join`].
 #[derive(Debug, Clone)]
 pub struct ExternConfig {
-    /// Hard byte budget for accounted resident memory. The probe pass's
-    /// partner lists (4 B per bucket collision, plus an 8 B offset per
-    /// set — the arrays the in-memory driver builds too) and the output
-    /// pairs sit outside the ledger.
+    /// Hard byte budget for accounted resident memory: the decoded block,
+    /// the slot table, the spill batches, the probe's record buffer and
+    /// runs (sized for the largest partition), and the verify block
+    /// cache. The probe pass's partner lists (4 B per bucket collision,
+    /// plus an 8 B offset per set — the arrays the in-memory driver builds
+    /// too) and the output pairs sit outside the ledger.
     pub mem_budget: u64,
     /// Lower bound on the partition count (difftest uses this to force
     /// multi-partition execution under a generous budget).
@@ -216,38 +222,52 @@ fn charge_high_water(
     Ok(())
 }
 
-/// Rebuilds `postings` from spill partition `part` and charges its high
-/// water.
-fn load_spill_partition(
+/// Reads spill partition `part` (`expected` postings) into `records`,
+/// sorts it, and walks it into `runs`. Both buffers were sized for the
+/// largest partition, so none of this allocates.
+fn walk_spill_partition(
     dir: &Path,
     part: usize,
-    postings: &mut SigPostings,
-    budget: &mut MemBudget,
-    charged: &mut u64,
+    expected: u64,
+    records: &mut Vec<SigRecord>,
+    runs: &mut Runs,
 ) -> io::Result<()> {
-    postings.clear();
-    read_partition(&dir.join(partition_file_name(part)), postings)?;
-    charge_high_water(budget, charged, postings.approx_bytes(), "postings")
+    records.clear();
+    let (read, _) = read_partition(&dir.join(partition_file_name(part)), records)?;
+    if read != expected {
+        return Err(spill_mismatch(part, "changed after the spill pass"));
+    }
+    records.sort_unstable();
+    runs.clear();
+    runs.walk_self_runs(&mut [records.as_slice()]);
+    Ok(())
 }
 
-/// Probe pass: the distinct higher-slot partners of every slot, as
+/// Probe pass over the partitions, `part_records[p]` postings in
+/// partition `p`: the distinct higher-slot partners of every slot, as
 /// `(offsets, partners)` with slot `s`'s list at
 /// `partners[offsets[s]..offsets[s + 1]]`. Fills `stats.collisions` and
 /// `stats.candidates`.
 fn probe_partitions(
     dir: &Path,
-    partitions: usize,
+    part_records: &[u64],
     sets: usize,
     budget: &mut MemBudget,
     stats: &mut ExternStats,
 ) -> io::Result<(Vec<usize>, Vec<u32>)> {
-    let mut postings = SigPostings::new();
-    let mut postings_charged = 0u64;
+    let largest = usize_of_u64(part_records.iter().copied().max().unwrap_or(0));
+    let mut records: Vec<SigRecord> = Vec::with_capacity(largest);
+    let mut runs = Runs::with_capacity(largest);
+    let buffers_charge =
+        (records.capacity() * size_of::<SigRecord>()) as u64 + runs.capacity_bytes();
+    budget
+        .charge(buffers_charge)
+        .map_err(|e| io::Error::other(format!("probe buffers: {e}")))?;
     let mut offsets = vec![0usize; sets + 1];
-    let mut per_part = Vec::with_capacity(partitions);
-    for part in 0..partitions {
-        load_spill_partition(dir, part, &mut postings, budget, &mut postings_charged)?;
-        let collisions = count_bucket_partners(postings.lists(), &mut offsets[..sets])
+    let mut per_part = Vec::with_capacity(part_records.len());
+    for (part, &expected) in part_records.iter().enumerate() {
+        walk_spill_partition(dir, part, expected, &mut records, &mut runs)?;
+        let collisions = count_bucket_partners(runs.self_buckets(), &mut offsets[..sets])
             .ok_or_else(|| spill_mismatch(part, "names a slot past the segment's sets"))?;
         per_part.push(collisions);
     }
@@ -258,15 +278,17 @@ fn probe_partitions(
         total += count;
     }
     let mut partners = vec![0u32; total];
-    for (part, &collisions) in per_part.iter().enumerate() {
-        load_spill_partition(dir, part, &mut postings, budget, &mut postings_charged)?;
-        if fill_bucket_partners(postings.lists(), &mut offsets[..sets], &mut partners) != collisions
+    for (part, (&expected, &collisions)) in part_records.iter().zip(&per_part).enumerate() {
+        walk_spill_partition(dir, part, expected, &mut records, &mut runs)?;
+        if fill_bucket_partners(runs.self_buckets(), &mut offsets[..sets], &mut partners)
+            != collisions
         {
             return Err(spill_mismatch(part, "changed between probe reads"));
         }
     }
-    drop(postings);
-    budget.release(postings_charged);
+    drop(records);
+    drop(runs);
+    budget.release(buffers_charge);
     // The fill advanced every cursor to its list's end; the last entry
     // still holds the total.
     stats.collisions = total as u64;
@@ -335,11 +357,11 @@ pub fn external_self_join<S: SignatureScheme>(
     stats.signatures = total_sigs;
     stats.sig_secs = t0.elapsed().as_secs_f64();
 
-    // Partition count: posting maps get half the budget; one partition's
-    // worst-case map is total/P × POSTING_BYTES.
+    // Partition count: the probe's buffers get half the budget; one
+    // partition's worst case is total/P × PROBE_BYTES_PER_POSTING.
     let index_budget = (cfg.mem_budget / 2).max(1);
     let want = total_sigs
-        .saturating_mul(POSTING_BYTES)
+        .saturating_mul(PROBE_BYTES_PER_POSTING)
         .div_ceil(index_budget);
     let partitions = want
         .clamp(1, MAX_PARTITIONS)
@@ -386,7 +408,7 @@ pub fn external_self_join<S: SignatureScheme>(
     budget
         .charge(batch_charge)
         .map_err(|e| io::Error::other(format!("spill batches: {e}")))?;
-    let spill_result = (|| -> io::Result<(u64, u64)> {
+    let spill_result = (|| -> io::Result<(Vec<u64>, u64)> {
         let mut writer = SpillWriter::create_at(&spill_dir, partitions, batch_bytes)?;
         for idx in 0..segment.blocks().len() {
             segment.read_block(idx, &mut block)?;
@@ -409,7 +431,7 @@ pub fn external_self_join<S: SignatureScheme>(
         }
         writer.seal()
     })();
-    let (spilled_records, spill_bytes) = match spill_result {
+    let (part_records, spill_bytes) = match spill_result {
         Ok(v) => v,
         Err(e) => {
             let _ = remove_partitions(&spill_dir, partitions);
@@ -417,13 +439,13 @@ pub fn external_self_join<S: SignatureScheme>(
         }
     };
     budget.release(batch_charge);
-    stats.spilled_records = spilled_records;
+    stats.spilled_records = part_records.iter().sum();
     stats.spill_bytes = spill_bytes;
     stats.spill_secs = t1.elapsed().as_secs_f64();
 
     // Pass 3: probe. The spill files are removed on every exit path.
     let t2 = Instant::now();
-    let probed = probe_partitions(&spill_dir, partitions, sets, &mut budget, &mut stats);
+    let probed = probe_partitions(&spill_dir, &part_records, sets, &mut budget, &mut stats);
     let removed = remove_partitions(&spill_dir, partitions);
     let (offsets, partners) = probed?;
     removed?;

@@ -4,13 +4,14 @@
 //! fits in RAM. This crate removes that assumption following the
 //! partition-at-a-time recipe of I/O-efficient similarity joins: the
 //! input lives in a read-only, CRC-checked **segment** file
-//! (`ssj_store::segment`, re-exported here), signatures are hash-ranged into on-disk **spill
-//! partitions** sized to a byte budget ([`spill`]), and a streaming
-//! **executor** ([`executor`]) numbers sets by *slot* (their position in
-//! the segment stream), loads one partition's posting map at a time, and
-//! gathers every slot's partners into one flat list with the zero-alloc
-//! partner-list kernels of [`ssj_core::partners`], the ones the in-memory
-//! driver runs over its sorted signature runs.
+//! (`ssj_store::segment`, re-exported here), signatures are hash-ranged
+//! into on-disk **spill partitions** sized to a byte budget ([`spill`]),
+//! and a streaming **executor** ([`executor`]) numbers sets by *slot*
+//! (their position in the segment stream), reads one partition's records
+//! at a time into a reused buffer, sorts and walks them into runs, and
+//! gathers every slot's partners into one flat list — the run walk and
+//! zero-alloc partner-list kernels of [`ssj_core::partners`], the ones
+//! the in-memory driver runs over its sorted signature records.
 //!
 //! Exactness argument (DESIGN.md §5h): an exact scheme guarantees any
 //! joining pair shares at least one signature; every occurrence of that

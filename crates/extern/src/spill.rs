@@ -17,8 +17,8 @@
 //! (`cargo xtask crashtest` pins this).
 
 use ssj_core::hash::mix64;
+use ssj_core::partners::SigRecord;
 use ssj_core::signature::Signature;
-use ssj_core::SigPostings;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufReader, ErrorKind};
 use std::path::{Path, PathBuf};
@@ -108,10 +108,10 @@ impl SpillWriter {
         Ok(())
     }
 
-    /// Flushes every partial batch; returns `(records, bytes)` totals.
-    /// No fsync — spill data is recomputed, not recovered.
-    pub fn seal(mut self) -> io::Result<(u64, u64)> {
-        let mut records = 0;
+    /// Flushes every partial batch; returns the records of each partition
+    /// and the total file bytes. No fsync — spill data is recomputed, not
+    /// recovered.
+    pub fn seal(mut self) -> io::Result<(Vec<u64>, u64)> {
         let mut bytes = 0;
         for p in &mut self.parts {
             if !p.batch.is_empty() {
@@ -119,20 +119,20 @@ impl SpillWriter {
                 p.bytes += written as u64;
                 p.batch.clear();
             }
-            records += p.records;
             bytes += p.bytes;
         }
-        Ok((records, bytes))
+        Ok((self.parts.iter().map(|p| p.records).collect(), bytes))
     }
 }
 
-/// Streams one partition file into `postings`, returning
-/// `(records, file_bytes)`. Torn or corrupt frames are hard errors —
-/// see the module docs for why spill damage must never be tolerated.
-pub fn read_partition(path: &Path, postings: &mut SigPostings) -> io::Result<(u64, u64)> {
+/// Appends one partition file's postings to `records`, in file order, and
+/// returns `(records, file_bytes)`. Torn or corrupt frames are hard
+/// errors — see the module docs for why spill damage must never be
+/// tolerated.
+pub fn read_partition(path: &Path, records: &mut Vec<SigRecord>) -> io::Result<(u64, u64)> {
     let file = File::open(path)?;
     let mut reader = FrameReader::new(BufReader::new(file));
-    let mut records = 0u64;
+    let mut read = 0u64;
     loop {
         match reader.next_frame()? {
             Frame::Payload(batch) => {
@@ -143,8 +143,8 @@ pub fn read_partition(path: &Path, postings: &mut SigPostings) -> io::Result<(u6
                     let slot = u32::try_from(slot).map_err(|_| {
                         io::Error::new(ErrorKind::InvalidData, "spill posting slot overflows u32")
                     })?;
-                    postings.insert(sig, slot);
-                    records += 1;
+                    records.push((sig, slot));
+                    read += 1;
                 }
             }
             Frame::CleanEof => break,
@@ -165,7 +165,7 @@ pub fn read_partition(path: &Path, postings: &mut SigPostings) -> io::Result<(u6
             }
         }
     }
-    Ok((records, reader.valid_prefix()))
+    Ok((read, reader.valid_prefix()))
 }
 
 /// Removes the spill files `SpillWriter::create_at` made under `dir`, then
@@ -204,23 +204,17 @@ mod tests {
             expected[p].push((sig, id));
         }
         let (records, bytes) = w.seal().unwrap();
-        assert_eq!(records, postings.len() as u64);
+        let counts: Vec<u64> = expected.iter().map(|e| e.len() as u64).collect();
+        assert_eq!(records, counts);
+        assert_eq!(records.iter().sum::<u64>(), postings.len() as u64);
         assert!(bytes > 0);
 
-        let mut map = SigPostings::new();
+        let mut got = Vec::new();
         for (p, exp) in expected.iter().enumerate() {
-            map.clear();
-            let (n, _) = read_partition(&dir.join(partition_file_name(p)), &mut map).unwrap();
+            got.clear();
+            let (n, _) = read_partition(&dir.join(partition_file_name(p)), &mut got).unwrap();
             assert_eq!(n, exp.len() as u64);
-            assert_eq!(map.postings(), exp.len());
-            let distinct: std::collections::BTreeSet<Signature> =
-                exp.iter().map(|&(s, _)| s).collect();
-            assert_eq!(map.len(), distinct.len());
-            let mut ids_got: Vec<u32> = map.lists().flatten().copied().collect();
-            let mut ids_exp: Vec<u32> = exp.iter().map(|&(_, id)| id).collect();
-            ids_got.sort_unstable();
-            ids_exp.sort_unstable();
-            assert_eq!(ids_got, ids_exp);
+            assert_eq!(&got, exp, "a partition reads back in push order");
         }
         remove_partitions(&dir, parts).unwrap();
         assert!(!dir.exists(), "spill dir should be removed when empty");
@@ -266,8 +260,8 @@ mod tests {
         let path = dir.join(partition_file_name(0));
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
-        let mut map = SigPostings::new();
-        let err = read_partition(&path, &mut map).unwrap_err();
+        let mut records = Vec::new();
+        let err = read_partition(&path, &mut records).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::InvalidData);
         remove_partitions(&dir, 1).unwrap();
     }

@@ -5,10 +5,12 @@
 //! identical pass must perform **zero** heap allocations (enforced in
 //! release builds; debug builds only exercise the paths).
 //!
-//! The witness here is the `SigPostings` reload — `clear()` + full
-//! reinsert, the once-per-partition rebuild, which must recycle list and
-//! table capacity. The probe pass's count and fill kernels live in
-//! `ssj_core::partners`; their witness is in `ssj-core`'s suite.
+//! The witness here is the probe's per-partition reload — clear the
+//! record buffer, refill it posting by posting (as `read_partition`
+//! decodes them), sort it, and walk it into runs — which must reuse the
+//! capacity the buffers were given for the largest partition. The probe
+//! pass's count and fill kernels live in `ssj_core::partners`; their
+//! witness is in `ssj-core`'s suite.
 
 #![allow(unsafe_code, reason = "the counting allocator implements GlobalAlloc")]
 
@@ -16,8 +18,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
+use ssj_core::partners::{Runs, SigRecord};
 use ssj_core::signature::Signature;
-use ssj_core::SigPostings;
 
 // --- counting allocator -------------------------------------------------
 
@@ -83,68 +85,61 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// `count` postings over `buckets` distinct signatures, ids ascending per
-/// bucket (the spill reader's arrival order). Small bucket count keeps
-/// lists long, so the pair enumeration does real work.
+/// `count` postings over `buckets` distinct signatures, slots ascending
+/// (the spill writer's push order). A small bucket count keeps runs long,
+/// so the walk does real work.
 fn postings_stream(count: usize, buckets: u64, seed: u64) -> Vec<(Signature, u32)> {
     let mut state = seed;
-    let mut next_id = 0u32;
     (0..count)
-        .map(|_| {
-            let sig = splitmix64(&mut state) % buckets;
-            next_id += 1;
-            (sig, next_id)
-        })
+        .map(|slot| (splitmix64(&mut state) % buckets, slot as u32))
         .collect()
+}
+
+/// One partition reload: refill, sort, walk. Returns the kept runs and
+/// their members.
+fn reload(
+    stream: &[(Signature, u32)],
+    records: &mut Vec<SigRecord>,
+    runs: &mut Runs,
+) -> (usize, usize) {
+    records.clear();
+    for &posting in stream {
+        records.push(posting);
+    }
+    records.sort_unstable();
+    runs.clear();
+    runs.walk_self_runs(&mut [records.as_slice()]);
+    let kept = runs.self_buckets().count();
+    let members = runs.self_buckets().map(<[u32]>::len).sum();
+    (kept, members)
 }
 
 // --- witnesses ----------------------------------------------------------
 
 #[test]
-fn warmed_postings_reload_allocates_nothing() {
-    let stream = postings_stream(4_000, 300, 0x5eed_0e02);
-    let mut postings = SigPostings::new();
+fn warmed_partition_reload_allocates_nothing() {
+    // Two partitions of different sizes: the buffers are sized for the
+    // larger, as the executor sizes them from the spill writer's counts.
+    let small = postings_stream(2_500, 300, 0x5eed_0e02);
+    let large = postings_stream(4_000, 300, 0x5eed_0e03);
+    let mut records: Vec<SigRecord> = Vec::with_capacity(large.len());
+    let mut runs = Runs::with_capacity(large.len());
+    let bytes = runs.capacity_bytes();
+    let warm = reload(&large, &mut records, &mut runs);
+    reload(&small, &mut records, &mut runs);
 
-    // Warm-up: rebuild cycles until one completes with zero allocations.
-    // Recycled lists travel a fixed permutation of buckets cycle-to-cycle
-    // (clear pushes in map-iteration order, reinsert pops LIFO), so a
-    // list's capacity reaches a bucket's need only when its orbit visits
-    // that bucket: convergence is guaranteed, but takes up to orbit-length
-    // cycles — bounded by the number of distinct signatures.
-    for &(sig, id) in &stream {
-        postings.insert(sig, id);
-    }
-    let warm_len = postings.len();
-    let warm_postings = postings.postings();
-    let max_cycles = warm_len + 8;
-    let mut converged = false;
-    for _ in 0..max_cycles {
-        let (allocs, ()) = count_allocs(|| {
-            postings.clear();
-            for &(sig, id) in &stream {
-                postings.insert(sig, id);
-            }
-        });
-        if allocs == 0 {
-            converged = true;
-            break;
-        }
-    }
-    assert!(
-        converged,
-        "SigPostings reload never reached an allocation-free cycle \
-         within {max_cycles} rebuilds"
-    );
-
-    // Steady state: once converged, every further rebuild stays at zero.
-    let (allocs, (len, total)) = count_allocs(|| {
-        postings.clear();
-        for &(sig, id) in black_box(&stream) {
-            postings.insert(sig, id);
-        }
-        (postings.len(), postings.postings())
+    let (allocs, got) = count_allocs(|| {
+        reload(black_box(&small), &mut records, &mut runs);
+        reload(black_box(&large), &mut records, &mut runs)
     });
-    assert_eq!(len, warm_len);
-    assert_eq!(total, warm_postings);
-    assert_steady_state("SigPostings reload (clear + reinsert)", allocs);
+    assert_eq!(got, warm);
+    assert!(warm.0 > 100, "the stream must hold many runs");
+    assert_eq!(
+        warm.1,
+        large.len(),
+        "300 signatures over 4 000 postings are all shared"
+    );
+    assert_eq!(records.capacity(), large.len());
+    assert_eq!(runs.capacity_bytes(), bytes, "the runs never grew");
+    assert_steady_state("partition reload (refill + sort + walk)", allocs);
 }

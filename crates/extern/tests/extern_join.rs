@@ -137,9 +137,9 @@ fn tight_budget_forces_partitions_and_bounds_peak() {
     let path = tmp_path("budget");
     write_collection_segment(&path, &collection, 0).expect("write segment");
 
-    // Small enough that one partition's posting map cannot hold everything,
+    // Small enough that one partition's probe buffers cannot hold everything,
     // large enough for the per-block and batch floors.
-    let budget = 256 << 10;
+    let budget = 128 << 10;
     let mut seg = Segment::open_path(&path).expect("open segment");
     let cfg = ExternConfig {
         mem_budget: budget,

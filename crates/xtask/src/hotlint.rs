@@ -80,10 +80,12 @@ pub const SUPPRESSIBLE_RULES: [&str; 5] = [
 ///   `query_candidates` answer every service request;
 /// * WAL record encoding — `encode_record_into` / `encode_set` run per
 ///   write inside the store's critical section;
+/// * `walk_self_runs` / `walk_cross_runs` — the run walk that groups
+///   sorted `(signature, set)` records, once per record of the in-memory
+///   join and of every spill partition of the external executor;
 /// * `count_bucket_partners` / `fill_bucket_partners` and their R–S forms
 ///   `count_cross_partners` / `fill_cross_partners` — the partner-list
-///   kernel, run over every bucket of the in-memory join's sorted runs and
-///   once per spill partition of the external executor;
+///   kernel, run over every bucket the run walk keeps;
 /// * `verify_pair` / `overlap_bound` / `write_bitmap` — the pluggable
 ///   verification trait method, the bitmap popcount bound it checks per
 ///   candidate, and the per-query bitmap build on the serve read path;
@@ -92,7 +94,7 @@ pub const SUPPRESSIBLE_RULES: [&str; 5] = [
 ///   are already covered by the serve roots; `call` sits in [`CALL_CUT`]).
 ///   The fan-out method `Transport::call_all` is *not* cut, so
 ///   `TcpTransport`'s socket path is hot and analyzed.
-pub const HOT_ROOTS: [&str; 23] = [
+pub const HOT_ROOTS: [&str; 25] = [
     "verify_partner_lists_into",
     "verify_pairs_into",
     "verify_pair",
@@ -111,6 +113,8 @@ pub const HOT_ROOTS: [&str; 23] = [
     "query_candidates",
     "encode_record_into",
     "encode_set",
+    "walk_self_runs",
+    "walk_cross_runs",
     "count_bucket_partners",
     "fill_bucket_partners",
     "count_cross_partners",

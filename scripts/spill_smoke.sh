@@ -32,7 +32,7 @@ awk 'BEGIN {
 "$BIN" jaccard --input "$work/input.txt" --threshold 0.8 \
   --output "$work/mem.txt"
 "$BIN" jaccard --input "$work/input.txt" --threshold 0.8 \
-  --mem-budget 1m --stats --output "$work/ext.txt" 2> "$work/stats.txt"
+  --mem-budget 512k --stats --output "$work/ext.txt" 2> "$work/stats.txt"
 
 if ! cmp -s "$work/mem.txt" "$work/ext.txt"; then
   echo "spill_smoke: in-memory and --mem-budget outputs differ"
@@ -42,7 +42,7 @@ fi
 
 parts=$(grep -o 'partitions=[0-9]*' "$work/stats.txt" | cut -d= -f2)
 if [[ -z "$parts" || "$parts" -lt 2 ]]; then
-  echo "spill_smoke: expected >= 2 partitions under a 1m budget, got '${parts:-none}'"
+  echo "spill_smoke: expected >= 2 partitions under a 512k budget, got '${parts:-none}'"
   cat "$work/stats.txt"
   exit 1
 fi
