@@ -1,7 +1,7 @@
 //! The identity signature scheme (Section 3.3): `Sign(s) = s`.
 //!
 //! This is the scheme implicitly used by the Probe-Count and Pair-Count
-//! algorithms of Sarawagi & Kirpal [22]: every element is a signature, so
+//! algorithms of Sarawagi & Kirpal \[22\]: every element is a signature, so
 //! any pair sharing at least one element becomes a candidate. Exact for
 //! every predicate that implies a non-empty intersection, with no
 //! quantifiable filtering effectiveness — the reference point the paper's

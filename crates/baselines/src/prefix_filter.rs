@@ -1,4 +1,4 @@
-//! The prefix-filter signature scheme (Chaudhuri, Ganti, Kaushik [6] —
+//! The prefix-filter signature scheme (Chaudhuri, Ganti, Kaushik \[6\] —
 //! Section 3.3 of the paper), augmented with the size-based filtering of
 //! Section 5.
 //!

@@ -1,6 +1,6 @@
-//! The Probe-Count algorithm of Sarawagi & Kirpal [22].
+//! The Probe-Count algorithm of Sarawagi & Kirpal \[22\].
 //!
-//! Section 3.3 characterizes [22]'s algorithms by their *identity signature
+//! Section 3.3 characterizes \[22\]'s algorithms by their *identity signature
 //! scheme* (`Sign(s) = s`); the original algorithms, however, are not
 //! materialize-all-collisions joins: Probe-Count scans an inverted index
 //! element → posting list and, per probe set, **counts** occurrences of
@@ -27,7 +27,7 @@ pub enum ProbeStrategy {
     /// Count every posting hit (the basic Probe-Count loop).
     #[default]
     MergeCount,
-    /// [22]'s MergeOpt: with a per-probe minimum overlap α, set aside the
+    /// \[22\]'s MergeOpt: with a per-probe minimum overlap α, set aside the
     /// α−1 *longest* posting lists — any qualifying candidate must appear in
     /// at least one of the remaining short lists, so only those are scanned;
     /// membership in the long lists is then checked by binary search per

@@ -85,9 +85,7 @@ pub struct ServeOpts {
     pub gamma: f64,
     /// Number of index shards.
     pub shards: usize,
-    /// Worker threads (0 = auto-detect cores).
-    pub workers: usize,
-    /// Bound on the request queue.
+    /// Bound on requests in flight.
     pub queue_capacity: usize,
     /// Signature/router seed.
     pub seed: u64,
@@ -112,9 +110,7 @@ pub struct ClusterOpts {
     pub gamma: f64,
     /// Index shards per spawned node.
     pub shards: usize,
-    /// Worker threads per spawned node (0 = auto-detect cores).
-    pub workers: usize,
-    /// Request queue bound per spawned node.
+    /// Bound on requests in flight per spawned node.
     pub queue_capacity: usize,
     /// Signature/placement seed (must match the nodes' seed).
     pub seed: u64,
@@ -204,8 +200,7 @@ SERVE OPTIONS (long-running similarity-search service, NDJSON protocol):
   --stdio             serve one session on stdin/stdout instead of TCP
   --threshold G       jaccard threshold served (default 0.8)
   --shards N          index shards (default 4)
-  --workers N         worker threads (default 0 = auto-detect cores)
-  --queue-cap N       request queue bound (default 128)
+  --queue-cap N       bound on requests in flight (default 128)
   --seed N            signature/router seed (default 42)
   --data-dir DIR      durable WAL+snapshot persistence in DIR (default off);
                       on startup the index is recovered from DIR
@@ -221,8 +216,8 @@ CLUSTER OPTIONS (scatter-gather router session on stdin/stdout):
                       spawning (overrides --nodes; >= 2 addresses)
   --threshold G       jaccard threshold served (default 0.8)
   --shards N          index shards per spawned node (default 4)
-  --workers N         worker threads per spawned node (default 0 = auto)
-  --queue-cap N       request queue bound per spawned node (default 128)
+  --queue-cap N       bound on requests in flight per spawned node
+                      (default 128)
   --seed N            signature/placement seed (default 42); with --addrs
                       it must equal the nodes' --seed
   Session: one NDJSON request per stdin line (insert | query | remove,
@@ -237,7 +232,6 @@ QUERY OPTIONS (one-shot client; prints the JSON response line):
   --get-stats         fetch server counters
   --shutdown          drain and stop the server
   --compact           snapshot every shard now (and truncate the WAL)
-  --deadline-ms N     per-request queue deadline
 ";
 
 fn parse_algo(s: &str) -> Result<Algo, ParseError> {
@@ -305,7 +299,6 @@ fn parse_cluster(args: &[String]) -> Result<ClusterOpts, ParseError> {
         addrs: Vec::new(),
         gamma: 0.8,
         shards: 4,
-        workers: 0,
         queue_capacity: 128,
         seed: 42,
     };
@@ -338,11 +331,6 @@ fn parse_cluster(args: &[String]) -> Result<ClusterOpts, ParseError> {
                 opts.shards = next(&mut i)?
                     .parse()
                     .map_err(|_| ParseError("bad --shards".into()))?
-            }
-            "--workers" => {
-                opts.workers = next(&mut i)?
-                    .parse()
-                    .map_err(|_| ParseError("bad --workers".into()))?
             }
             "--queue-cap" => {
                 opts.queue_capacity = next(&mut i)?
@@ -392,7 +380,6 @@ fn parse_serve(args: &[String]) -> Result<ServeOpts, ParseError> {
         stdio: false,
         gamma: 0.8,
         shards: 4,
-        workers: 0,
         queue_capacity: 128,
         seed: 42,
         data_dir: None,
@@ -418,11 +405,6 @@ fn parse_serve(args: &[String]) -> Result<ServeOpts, ParseError> {
                 opts.shards = next(&mut i)?
                     .parse()
                     .map_err(|_| ParseError("bad --shards".into()))?
-            }
-            "--workers" => {
-                opts.workers = next(&mut i)?
-                    .parse()
-                    .map_err(|_| ParseError("bad --workers".into()))?
             }
             "--queue-cap" => {
                 opts.queue_capacity = next(&mut i)?
@@ -485,7 +467,6 @@ fn parse_query(args: &[String]) -> Result<QueryOpts, ParseError> {
     let mut stats = false;
     let mut shutdown = false;
     let mut compact = false;
-    let mut deadline_ms: Option<u64> = None;
 
     let mut i = 0;
     let next = |i: &mut usize| -> Result<&String, ParseError> {
@@ -508,13 +489,6 @@ fn parse_query(args: &[String]) -> Result<QueryOpts, ParseError> {
             "--get-stats" => stats = true,
             "--shutdown" => shutdown = true,
             "--compact" => compact = true,
-            "--deadline-ms" => {
-                deadline_ms = Some(
-                    next(&mut i)?
-                        .parse()
-                        .map_err(|_| ParseError("bad --deadline-ms".into()))?,
-                )
-            }
             "--help" | "-h" => return Err(ParseError(USAGE.into())),
             other => {
                 return Err(ParseError(format!(
@@ -542,22 +516,19 @@ fn parse_query(args: &[String]) -> Result<QueryOpts, ParseError> {
                 .into(),
         ));
     }
-    let deadline_suffix = deadline_ms
-        .map(|ms| format!(",\"deadline_ms\":{ms}"))
-        .unwrap_or_default();
     let line = if let Some(elems) = set {
         let joined = elems
             .iter()
             .map(|e| e.to_string())
             .collect::<Vec<_>>()
             .join(",");
-        format!("{{\"op\":{op:?},\"set\":[{joined}]{deadline_suffix}}}")
+        format!("{{\"op\":{op:?},\"set\":[{joined}]}}")
     } else if let Some(id) = remove {
-        format!("{{\"op\":\"remove\",\"id\":{id}{deadline_suffix}}}")
+        format!("{{\"op\":\"remove\",\"id\":{id}}}")
     } else if stats {
-        format!("{{\"op\":\"stats\"{deadline_suffix}}}")
+        "{\"op\":\"stats\"}".to_string()
     } else if compact {
-        format!("{{\"op\":\"compact\"{deadline_suffix}}}")
+        "{\"op\":\"compact\"}".to_string()
     } else {
         "{\"op\":\"shutdown\"}".to_string()
     };
@@ -704,11 +675,24 @@ pub fn parse(args: &[String]) -> Result<Cli, ParseError> {
         input2,
         algo,
         tokenizer,
-        threads: ssj_serve::resolve_workers(threads),
+        threads: resolve_workers(threads),
         output,
         stats,
         mem_budget,
     })
+}
+
+/// Resolves a `--threads` count: `0` means auto-detect via
+/// [`std::thread::available_parallelism`] (falling back to 1 if the
+/// platform can't say), anything else is taken as-is.
+fn resolve_workers(requested: usize) -> usize {
+    if requested == 0 {
+        std::thread::available_parallelism()
+            .map(usize::from)
+            .unwrap_or(1)
+    } else {
+        requested
+    }
 }
 
 #[cfg(test)]
@@ -776,7 +760,7 @@ mod tests {
     #[test]
     fn parses_serve_subcommand() {
         let cmd = parse_command(&args(
-            "serve --addr 0.0.0.0:9000 --threshold 0.6 --shards 2 --workers 3 --queue-cap 16 --seed 9",
+            "serve --addr 0.0.0.0:9000 --threshold 0.6 --shards 2 --queue-cap 16 --seed 9",
         ))
         .unwrap();
         match cmd {
@@ -785,7 +769,6 @@ mod tests {
                 assert!(!o.stdio);
                 assert_eq!(o.gamma, 0.6);
                 assert_eq!(o.shards, 2);
-                assert_eq!(o.workers, 3);
                 assert_eq!(o.queue_capacity, 16);
                 assert_eq!(o.seed, 9);
                 assert_eq!(o.data_dir, None);
@@ -876,8 +859,8 @@ mod tests {
         assert_eq!(o.addr, "127.0.0.1:7878");
         assert_eq!(o.line, r#"{"op":"query","set":[3,1,2]}"#);
         assert_eq!(
-            q("query --addr h:1 --set 7 --op insert --deadline-ms 50").line,
-            r#"{"op":"insert","set":[7],"deadline_ms":50}"#
+            q("query --addr h:1 --set 7 --op insert").line,
+            r#"{"op":"insert","set":[7]}"#
         );
         assert_eq!(
             q("query --addr h:1 --remove 12").line,
@@ -926,10 +909,7 @@ mod tests {
             other => panic!("expected query, got {other:?}"),
         };
         assert_eq!(q("query --addr h:1 --compact").line, r#"{"op":"compact"}"#);
-        assert_eq!(
-            q("query --addr h:1 --compact --deadline-ms 9").line,
-            r#"{"op":"compact","deadline_ms":9}"#
-        );
+        assert!(parse_command(&args("query --addr h:1 --compact --deadline-ms 9")).is_err());
         assert!(parse_command(&args("query --addr h:1 --compact --get-stats")).is_err());
     }
 

@@ -270,7 +270,6 @@ pub fn run_serve(opts: &args::ServeOpts) -> Result<(), String> {
     let cfg = ssj_serve::ServerConfig {
         gamma: opts.gamma,
         shards: opts.shards,
-        workers: opts.workers,
         queue_capacity: opts.queue_capacity,
         seed: opts.seed,
         data_dir: opts.data_dir.as_ref().map(std::path::PathBuf::from),
@@ -278,7 +277,6 @@ pub fn run_serve(opts: &args::ServeOpts) -> Result<(), String> {
         snapshot_every: opts.snapshot_every,
         ..ssj_serve::ServerConfig::default()
     };
-    let workers = cfg.effective_workers();
     let durable = cfg.data_dir.clone();
     let server = ssj_serve::Server::start(cfg).map_err(|e| e.to_string())?;
     if let Some(dir) = &durable {
@@ -291,7 +289,7 @@ pub fn run_serve(opts: &args::ServeOpts) -> Result<(), String> {
     let listener = std::net::TcpListener::bind(&opts.addr)
         .map_err(|e| format!("cannot bind {}: {e}", opts.addr))?;
     let local = listener.local_addr().map_err(|e| e.to_string())?;
-    eprintln!("ssjoin serve: listening on {local} ({workers} workers)");
+    eprintln!("ssjoin serve: listening on {local}");
     ssj_serve::net::serve_tcp(server, listener).map_err(|e| e.to_string())
 }
 
@@ -304,7 +302,6 @@ pub fn run_cluster(opts: &args::ClusterOpts) -> Result<(), String> {
         let cfg = ssj_serve::ServerConfig {
             gamma: opts.gamma,
             shards: opts.shards,
-            workers: opts.workers,
             queue_capacity: opts.queue_capacity,
             seed: opts.seed,
             ..ssj_serve::ServerConfig::default()
@@ -395,7 +392,7 @@ fn cluster_reply<T: ssj_cluster::Transport>(
         out
     };
     let req = match ssj_serve::wire::parse_request(line) {
-        Ok(ssj_serve::wire::WireRequest::Call { req, .. }) => req,
+        Ok(ssj_serve::wire::WireRequest::Call { req }) => req,
         Ok(ssj_serve::wire::WireRequest::Shutdown) => return None,
         Err(msg) => return Some(bad(&msg)),
     };

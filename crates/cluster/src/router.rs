@@ -87,9 +87,11 @@ pub enum RouterError {
 /// Wire-level failure discriminators, mirrored from the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rejection {
-    /// `{"error":"overloaded"}` — the node's queue was full.
+    /// `{"error":"overloaded"}` — the node was at its in-flight bound.
     Overloaded,
-    /// `{"error":"timeout"}` — the request expired in the node's queue.
+    /// `{"error":"timeout"}` — sent by a node that enforces request
+    /// deadlines; `ssj-serve` nodes run a call as soon as they admit it and
+    /// never send it.
     Timeout,
     /// `{"error":"shutting_down"}` — the node is draining.
     ShuttingDown,

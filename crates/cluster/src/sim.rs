@@ -163,9 +163,7 @@ impl Transport for SimCluster {
         // travels back as the line the frontend would write.
         let reply = match wire::parse_request(line) {
             Err(msg) => wire::encode_response(&ssj_serve::Response::Error(msg)),
-            Ok(wire::WireRequest::Call { req, deadline }) => {
-                wire::encode_response(&handle.call_with_deadline(req, deadline))
-            }
+            Ok(wire::WireRequest::Call { req }) => wire::encode_response(&handle.call(req)),
             Ok(wire::WireRequest::Shutdown) => {
                 return Err(TransportError::Io("shutdown not routable".into()))
             }

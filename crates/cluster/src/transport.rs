@@ -66,9 +66,8 @@ pub trait Transport {
 /// How long a dial may take before the node counts as unreachable.
 pub const CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// How long one socket read or write may block. Longer than a node's
-/// default queue deadline (5 s), so an overloaded node's own `timeout`
-/// answer arrives before the transport gives up on it.
+/// How long one socket read or write may block before the node counts as
+/// unreachable.
 pub const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Requests that change nothing on the node, so sending one twice is safe.
@@ -188,8 +187,7 @@ impl TcpTransport {
     }
 
     /// [`TcpTransport::new`] with other timeouts, for tests that provoke
-    /// them. Deployments use the constants: a timeout shorter than a
-    /// node's queue deadline would turn overload into failover.
+    /// them. Deployments use the constants.
     #[doc(hidden)]
     pub fn with_timeouts(addrs: Vec<String>, connect: Duration, io: Duration) -> Self {
         let conns = addrs.iter().map(|_| None).collect();

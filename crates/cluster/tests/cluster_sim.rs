@@ -39,7 +39,6 @@ fn test_cfg(seed: u64) -> ServerConfig {
     ServerConfig {
         gamma: 0.6,
         shards: 2,
-        workers: 1,
         initial_max_size: 16,
         seed,
         ..ServerConfig::default()

@@ -200,7 +200,6 @@ impl RealNode {
 fn node_cfg() -> ServerConfig {
     ServerConfig {
         shards: 2,
-        workers: 1,
         ..ServerConfig::default()
     }
 }

@@ -32,8 +32,8 @@ const SERVE_BITMAP_WORDS: usize = 2;
 /// A query canonicalizes its input, generates signatures, sweeps postings
 /// into a candidate list, and verifies — four growing buffers that would
 /// otherwise be reallocated per query. Hot callers (the serving layer's
-/// worker loop) hold one `QueryScratch` per worker and thread it through
-/// [`SimilarityIndex::query_counted_scratch`] /
+/// request path) hold one `QueryScratch` per calling thread and pass it
+/// to [`SimilarityIndex::query_counted_scratch`] /
 /// [`JaccardIndex::query_counted_scratch`]; construction is
 /// allocation-free.
 #[derive(Debug, Default)]

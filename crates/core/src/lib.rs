@@ -42,7 +42,7 @@
 //! | [`similarity`] | §2.2–2.3, §7 | jaccard, hamming, weighted measures |
 //! | [`predicate`] | §2, §6 | [`Predicate`] with size/hamming bounds |
 //! | [`signature`] | §3 | the [`SignatureScheme`] trait |
-//! | [`join`] | §3, Fig. 2 | the shared join driver |
+//! | [`join`](mod@crate::join) | §3, Fig. 2 | the shared join driver |
 //! | [`partners`] | §3 step 3 | buckets → per-set partner lists |
 //! | [`verify`] | §3 step 4 | pluggable verification, bitmap filter |
 //! | [`partenum`] | §4–6 | PartEnum (hamming, jaccard, general) |

@@ -4,7 +4,7 @@
 //! scheme*: a function from an input set to a small set of signatures such
 //! that any two sets satisfying the join predicate share at least one
 //! signature (the correctness requirement of Section 3.1). Candidate-pair
-//! generation and post-filtering (the join driver in [`crate::join`]) are
+//! generation and post-filtering (the join driver in [`crate::join`](mod@crate::join)) are
 //! shared by every scheme, exactly as the paper argues the engineering
 //! details are "orthogonal to the high-level outline".
 

@@ -2,7 +2,7 @@
 //! synthetic data sets"): equi-sized sets with elements drawn uniformly from
 //! a fixed domain, "plus a few additional sets highly similar to existing
 //! ones to generate valid output" — the same generation scheme as Cohen et
-//! al. [8].
+//! al. \[8\].
 
 use rand::prelude::*;
 use ssj_core::hash::FxHashSet;

@@ -15,11 +15,13 @@ pub struct ServerConfig {
     /// Number of index shards. Sets are routed to a shard by content hash;
     /// more shards mean finer-grained write locking.
     pub shards: usize,
-    /// Number of worker threads executing requests. `0` auto-detects the
-    /// machine's parallelism.
+    /// Unread: every request runs on the thread that calls it. The field
+    /// stays only while the benchmark package still sets it.
+    #[deprecated = "unread: every request runs on the thread that calls it"]
     pub workers: usize,
-    /// Bound on the request queue. When the queue is full new requests are
-    /// rejected with an `Overloaded` response instead of waiting.
+    /// Bound on requests in flight (admitted and not yet answered). A call
+    /// that finds this many in flight is rejected with an `Overloaded`
+    /// response instead of waiting.
     pub queue_capacity: usize,
     /// Initial set-size coverage of each shard's signature scheme; grown
     /// automatically on demand.
@@ -30,14 +32,10 @@ pub struct ServerConfig {
     pub max_set_len: usize,
     /// Seed for the signature schemes and the shard router.
     pub seed: u64,
-    /// Deadline applied to requests that don't carry their own: a request
-    /// that waited in the queue longer than this is answered `Timeout`
-    /// without being executed.
-    pub default_deadline: Duration,
-    /// Artificial pause a worker takes before executing each request.
-    /// Fault-injection knob for tests (deterministic overload/timeout on
-    /// any machine); keep at zero in production.
-    pub worker_delay: Duration,
+    /// Artificial pause every call takes after admission and before it
+    /// executes. Fault-injection knob for tests (deterministic overload and
+    /// drain races on any machine); keep at zero in production.
+    pub call_delay: Duration,
     /// Data directory for durable persistence (`None`: memory-only, the
     /// historical behavior). When set, every write is WAL-logged before it
     /// is acked and the index is recovered from disk on startup.
@@ -52,6 +50,7 @@ pub struct ServerConfig {
 }
 
 impl Default for ServerConfig {
+    #[allow(deprecated, reason = "the unread `workers` field still needs a value")]
     fn default() -> Self {
         Self {
             gamma: 0.8,
@@ -61,47 +60,10 @@ impl Default for ServerConfig {
             initial_max_size: 64,
             max_set_len: 1 << 16,
             seed: 42,
-            default_deadline: Duration::from_secs(5),
-            worker_delay: Duration::ZERO,
+            call_delay: Duration::ZERO,
             data_dir: None,
             sync: SyncMode::Every,
             snapshot_every: 8192,
         }
-    }
-}
-
-impl ServerConfig {
-    /// The worker count with `0` resolved to the machine's parallelism.
-    pub fn effective_workers(&self) -> usize {
-        resolve_workers(self.workers)
-    }
-}
-
-/// Resolves a `--threads`-style count: `0` means auto-detect via
-/// [`std::thread::available_parallelism`] (falling back to 1 if the
-/// platform can't say), anything else is taken as-is.
-pub fn resolve_workers(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism()
-            .map(usize::from)
-            .unwrap_or(1)
-    } else {
-        requested
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn zero_workers_auto_detects() {
-        assert!(resolve_workers(0) >= 1);
-        assert_eq!(resolve_workers(3), 3);
-        let cfg = ServerConfig {
-            workers: 0,
-            ..ServerConfig::default()
-        };
-        assert!(cfg.effective_workers() >= 1);
     }
 }

@@ -153,19 +153,15 @@ pub struct ShardCountersSnapshot {
     pub verified_hits: u64,
 }
 
-/// Server-wide admission and latency metrics (the request queue is global,
-/// so queue-wait and service-time histograms live here, not per shard).
+/// Server-wide admission and latency metrics (admission is global, so the
+/// service-time histogram lives here, not per shard).
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
-    /// Requests admitted to the queue.
+    /// Requests admitted (under the in-flight bound, before draining).
     pub accepted: AtomicU64,
-    /// Requests rejected because the queue was full.
+    /// Requests rejected because `queue_capacity` calls were in flight.
     pub overloaded: AtomicU64,
-    /// Requests dropped because their deadline expired while queued.
-    pub timeouts: AtomicU64,
-    /// Time from enqueue to dequeue.
-    pub queue_wait: LatencyHistogram,
-    /// Time executing the operation (after dequeue).
+    /// Time executing the operation.
     pub service_time: LatencyHistogram,
 }
 
@@ -182,10 +178,9 @@ pub struct StatsSnapshot {
     pub accepted: u64,
     /// See [`ServerMetrics::overloaded`].
     pub overloaded: u64,
-    /// See [`ServerMetrics::timeouts`].
+    /// Always 0: a call runs as soon as it is admitted, so no deadline can
+    /// expire. Kept because the wire `stats` line carries it.
     pub timeouts: u64,
-    /// See [`ServerMetrics::queue_wait`].
-    pub queue_wait: HistogramSnapshot,
     /// See [`ServerMetrics::service_time`].
     pub service_time: HistogramSnapshot,
 }

@@ -99,9 +99,7 @@ pub fn serve_connection<R: BufRead, W: Write>(
         };
         let mut reply = match parsed {
             Err(msg) => encode_response(&Response::Error(msg)),
-            Ok(WireRequest::Call { req, deadline }) => {
-                encode_response(&handle.call_with_deadline(req, deadline))
-            }
+            Ok(WireRequest::Call { req }) => encode_response(&handle.call(req)),
             Ok(WireRequest::Shutdown) => {
                 output.write_all(b"{\"ok\":true,\"op\":\"shutdown\"}\n")?;
                 output.flush()?;
@@ -119,7 +117,7 @@ pub fn serve_connection<R: BufRead, W: Write>(
 ///
 /// Each connection runs on its own thread with a cloned [`Handle`]. Once a
 /// shutdown arrives, the accept loop is woken by a loop-back connection,
-/// in-queue requests are answered, and still-connected clients receive
+/// in-flight requests are answered, and still-connected clients receive
 /// `shutting_down` responses to any further calls.
 pub fn serve_tcp(server: Server, listener: TcpListener) -> io::Result<()> {
     let addr = listener.local_addr()?;
@@ -196,7 +194,6 @@ mod tests {
     fn test_server() -> Server {
         Server::start(ServerConfig {
             shards: 2,
-            workers: 2,
             ..ServerConfig::default()
         })
         .expect("valid config")
@@ -229,7 +226,6 @@ mod tests {
     fn oversized_set_answers_wire_error_and_session_continues() {
         let server = Server::start(ServerConfig {
             shards: 2,
-            workers: 2,
             max_set_len: 4,
             ..ServerConfig::default()
         })

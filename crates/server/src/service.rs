@@ -1,5 +1,5 @@
-//! The concurrent service core: a sharded similarity index behind a
-//! bounded worker pool.
+//! The concurrent service core: a sharded similarity index whose requests
+//! run on their callers' threads.
 //!
 //! # Sharding and snapshot consistency
 //!
@@ -7,11 +7,9 @@
 //! own witnessed `RwLock` ([`ssj_core::lockwitness`], class `shard-index`,
 //! keyed by shard number). A set is owned by the shard the index's single
 //! [`ssj_core::index::Placement`] value routes it to, so writes (insert,
-//! remove)
-//! take exactly one write lock; queries take **all** shard read locks and
-//! merge the per-shard answers. Every multi-lock acquisition goes through
-//! [`ShardedIndex::lock_all_read`] / [`ShardedIndex::lock_owner_write`] —
-//! one audited ascending-shard-order implementation, so no deadlock is
+//! remove) take exactly one write lock; queries take **all** shard read
+//! locks and merge the per-shard answers. Every multi-lock acquisition
+//! goes through one audited ascending-shard-order sweep, so no deadlock is
 //! possible. `cargo xtask locklint` enforces this statically and the
 //! debug-build lock witness re-checks it at runtime (DESIGN.md §5f).
 //!
@@ -34,27 +32,28 @@
 //! recoverable from any id (`global % shards`) and ids remain valid across
 //! shard-internal rebuilds and removals.
 //!
-//! # Admission control
+//! # Execution and admission control
 //!
-//! Requests flow through one bounded crossbeam channel. [`Handle::call`]
-//! uses `try_send`: a full queue answers [`Response::Overloaded`]
-//! immediately rather than blocking the client. Workers check the
-//! per-request deadline at dequeue and answer [`Response::Timeout`]
-//! without executing expired work. Shutdown flips a draining flag (new
-//! calls answer [`Response::ShuttingDown`]), lets queued work finish,
-//! then parks one `Stop` sentinel per worker and joins them.
+//! [`Handle::call`] executes the request on the calling thread, with that
+//! thread's [`ServeScratch`]. Write order comes from the owner shard's
+//! write lock and the sequence number taken inside the WAL append, and
+//! durability from the store's group commit, so no queue is needed to
+//! order anything. An atomic in-flight count bounds admission: only
+//! admitted calls are counted, and a call that finds `queue_capacity`
+//! requests in flight answers [`Response::Overloaded`] at once. Shutdown
+//! sets a draining flag (later calls answer [`Response::ShuttingDown`]),
+//! waits for the in-flight count to reach zero, then flushes the store.
 
 use crate::config::ServerConfig;
 use crate::metrics::{ServerMetrics, ShardCounters, ShardCountersSnapshot, StatsSnapshot};
-use crossbeam::channel::{self, TrySendError};
 use ssj_core::error::{Result as CoreResult, SsjError};
 use ssj_core::index::{ContentHashPlacement, JaccardIndex, Placement, QueryScratch};
 use ssj_core::lockwitness::{WitnessReadGuard, WitnessRwLock, WitnessWriteGuard, SHARD_INDEX};
 use ssj_core::set::{ElementId, SetId};
 use ssj_store::{Recovered, ShardState, Store, StoreConfig, TailStatus, WalOp, WalRecord};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// An operation accepted by the service.
@@ -181,11 +180,9 @@ pub enum Response {
         /// Per-shard encoded snapshot images, index = shard number.
         shards: Vec<Vec<u8>>,
     },
-    /// The request queue was full; nothing was executed. Retry later.
+    /// `queue_capacity` requests were already in flight; nothing was
+    /// executed. Retry later.
     Overloaded,
-    /// The request's deadline expired while it waited in the queue;
-    /// nothing was executed.
-    Timeout,
     /// The server is draining; nothing was executed.
     ShuttingDown,
     /// The request was malformed (wire-layer parse or validation failure).
@@ -238,7 +235,7 @@ pub enum WriteResult<T> {
 
 /// Reusable buffers for the serve read path (DESIGN.md §5g).
 ///
-/// Each worker thread owns one `ServeScratch` and threads it through
+/// Each calling thread owns one `ServeScratch` and threads it through
 /// [`ShardedIndex::query_scratch`], so a steady-state query performs no
 /// heap allocation beyond the response it hands back: canonicalization,
 /// signature generation, candidate sweeping, and verification all reuse
@@ -264,8 +261,8 @@ fn shard_scheme_seed(master: u64, shard: usize) -> u64 {
 
 /// The sharded, concurrently usable index facade.
 ///
-/// Usable directly (every method takes `&self`) or behind the worker pool
-/// via [`Server`] / [`Handle`]. With a `data_dir` configured
+/// Usable directly (every method takes `&self`) or through [`Server`] /
+/// [`Handle`]. With a `data_dir` configured
 /// ([`ShardedIndex::open`]), every write is WAL-logged *inside* its shard
 /// critical section — sequence assignment happens in the WAL's own
 /// critical section, so log order equals global write order — and
@@ -608,7 +605,7 @@ impl ShardedIndex {
     /// matching global ids (ascending), the snapshot's sequence number,
     /// and the candidates probed.
     pub fn query(&self, elems: Vec<ElementId>) -> (Vec<u64>, u64, u64) {
-        // hotlint: allow(hot-scratch, fn): convenience wrapper for tests and one-shot callers — the worker pool threads a per-worker ServeScratch through query_scratch.
+        // hotlint: allow(hot-scratch, fn): convenience wrapper for tests and one-shot callers — Handle::call threads a per-thread ServeScratch through query_scratch.
         let mut ids = Vec::new();
         let (seen_seq, probed) = self.query_scratch(&elems, &mut ServeScratch::default(), &mut ids);
         (ids, seen_seq, probed)
@@ -617,7 +614,7 @@ impl ShardedIndex {
     /// [`Self::query`] with caller-provided buffers: clears `out`, fills it
     /// with the matching global ids (ascending), and returns
     /// `(seen_seq, probed)`. Allocation-free once the buffers have warmed
-    /// up — the worker pool's steady-state read path.
+    /// up — the steady-state read path of [`Handle::call`].
     pub fn query_scratch(
         &self,
         elems: &[ElementId],
@@ -854,32 +851,37 @@ fn states_of(guards: &[WitnessReadGuard<'_, JaccardIndex>]) -> Vec<ShardState> {
     guards.iter().map(state).collect()
 }
 
-struct Job {
-    req: Request,
-    enqueued: Instant,
-    deadline: Duration,
-    reply: std::sync::mpsc::SyncSender<Response>,
-}
-
-enum Msg {
-    Job(Job),
-    Stop,
-}
-
 struct Inner {
     index: ShardedIndex,
     metrics: ServerMetrics,
     cfg: ServerConfig,
+    /// Calls admitted and not yet answered; never above `queue_capacity`.
+    in_flight: AtomicUsize,
     draining: AtomicBool,
+}
+
+thread_local! {
+    /// One scratch per calling thread: steady-state queries reuse these
+    /// buffers instead of allocating per request (DESIGN.md §5g).
+    static SCRATCH: RefCell<ServeScratch> = RefCell::new(ServeScratch::default());
+}
+
+/// Holds one unit of [`Inner::in_flight`] and gives it back on drop, on
+/// every return path of a call (and on unwind).
+struct InFlight<'a>(&'a AtomicUsize);
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 impl Inner {
     fn execute(&self, req: Request, scratch: &mut ServeScratch) -> Response {
         // Admission validation: reject sets beyond the configured size
         // bound with a clean wire error. Without this (and the index-layer
-        // guards underneath), an oversized set could panic a worker — the
-        // connection thread would see a dead reply channel and every later
-        // client request on that worker would go unanswered.
+        // guards underneath), an oversized set could panic the calling
+        // thread and end its connection.
         let oversized = match &req {
             Request::Insert { elems }
             | Request::Query { elems }
@@ -912,7 +914,7 @@ impl Inner {
             Request::Query { elems } => {
                 // The response owns its ids, so one Vec per reply is
                 // inherent to the protocol; everything else the query
-                // touches reuses the worker's scratch.
+                // touches reuses the calling thread's scratch.
                 let mut ids = Vec::new();
                 let (seen_seq, probed) = self.index.query_scratch(&elems, scratch, &mut ids);
                 Response::Matches {
@@ -995,95 +997,45 @@ impl Inner {
             seq,
             accepted: self.metrics.accepted.load(Ordering::Relaxed),
             overloaded: self.metrics.overloaded.load(Ordering::Relaxed),
-            timeouts: self.metrics.timeouts.load(Ordering::Relaxed),
-            queue_wait: self.metrics.queue_wait.snapshot(),
+            timeouts: 0,
             service_time: self.metrics.service_time.snapshot(),
         }
     }
 }
 
-fn worker_loop(inner: Arc<Inner>, rx: channel::Receiver<Msg>) {
-    // One scratch per worker: steady-state queries reuse these buffers
-    // instead of allocating per request (DESIGN.md §5g).
-    let mut scratch = ServeScratch::default();
-    while let Ok(msg) = rx.recv() {
-        let job = match msg {
-            Msg::Stop => break,
-            Msg::Job(job) => job,
-        };
-        let waited = job.enqueued.elapsed();
-        inner.metrics.queue_wait.record(waited);
-        if waited > job.deadline {
-            inner.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
-            let _ = job.reply.send(Response::Timeout);
-            continue;
-        }
-        if !inner.cfg.worker_delay.is_zero() {
-            // Fault-injection pause (tests); see ServerConfig::worker_delay.
-            std::thread::sleep(inner.cfg.worker_delay);
-        }
-        let start = Instant::now();
-        let resp = inner.execute(job.req, &mut scratch);
-        inner.metrics.service_time.record(start.elapsed());
-        // A requester that gave up is not an error; drop the response.
-        let _ = job.reply.send(resp);
-    }
-}
-
-/// A running service instance: the sharded index plus its worker pool.
+/// A running service instance: the sharded index plus its admission
+/// state.
 ///
 /// Obtain [`Handle`]s with [`Server::handle`] and submit requests from any
 /// number of threads; call [`Server::shutdown`] (or drop the server) for a
 /// graceful drain.
 pub struct Server {
     inner: Arc<Inner>,
-    tx: channel::Sender<Msg>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Builds the index — recovering from `cfg.data_dir` when one is
-    /// configured — and spawns the worker pool.
+    /// Builds the index, recovering from `cfg.data_dir` when one is
+    /// configured.
     pub fn start(cfg: ServerConfig) -> CoreResult<Self> {
         let index = ShardedIndex::open(&cfg)?;
-        let workers = cfg.effective_workers().max(1);
-        let (tx, rx) = channel::bounded::<Msg>(cfg.queue_capacity.max(1));
         let inner = Arc::new(Inner {
             index,
             metrics: ServerMetrics::default(),
             cfg,
+            in_flight: AtomicUsize::new(0),
             draining: AtomicBool::new(false),
         });
-        let handles = (0..workers)
-            .map(|i| {
-                let inner = Arc::clone(&inner);
-                let rx = rx.clone();
-                std::thread::Builder::new()
-                    .name(format!("ssj-serve-worker-{i}"))
-                    .spawn(move || worker_loop(inner, rx))
-            })
-            .collect::<std::io::Result<Vec<_>>>()
-            .map_err(|e| {
-                ssj_core::error::SsjError::InvalidParams(format!(
-                    "failed to spawn worker threads: {e}"
-                ))
-            })?;
-        Ok(Self {
-            inner,
-            tx,
-            workers: handles,
-        })
+        Ok(Self { inner })
     }
 
     /// A cloneable submission handle.
     pub fn handle(&self) -> Handle {
         Handle {
             inner: Arc::clone(&self.inner),
-            tx: self.tx.clone(),
         }
     }
 
-    /// Current counters (without going through the request queue).
+    /// Current counters (without being admitted as a request).
     pub fn stats(&self) -> StatsSnapshot {
         self.inner.stats()
     }
@@ -1094,27 +1046,24 @@ impl Server {
         &self.inner.index
     }
 
-    /// Graceful drain: stop admitting, finish queued work, join workers.
-    pub fn shutdown(mut self) {
+    /// Graceful drain: stop admitting, wait for in-flight calls, flush.
+    pub fn shutdown(self) {
         self.drain();
     }
 
-    fn drain(&mut self) {
-        if self.workers.is_empty() {
+    fn drain(&self) {
+        if self.inner.draining.swap(true, Ordering::SeqCst) {
             return;
         }
-        self.inner.draining.store(true, Ordering::SeqCst);
-        // One Stop sentinel per worker, queued *behind* all admitted work
-        // (FIFO), so every in-flight request is answered before exit.
-        for _ in 0..self.workers.len() {
-            let _ = self.tx.send(Msg::Stop);
+        // A caller increments `in_flight` before it checks `draining`
+        // (both SeqCst). So once the swap above is done, every caller that
+        // will still execute is already counted, and a zero here means no
+        // write can be acked after the flush below.
+        while self.inner.in_flight.load(Ordering::SeqCst) != 0 {
+            std::thread::sleep(Duration::from_millis(1));
         }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        // All workers are joined: no write is in flight, so this flush
-        // covers every acked write. Failures are reported, not swallowed
-        // silently — but drain never panics.
+        // Failures are reported, not swallowed silently — but drain never
+        // panics.
         if let Err(e) = self.inner.index.flush_store() {
             eprintln!("ssj-serve: WAL flush on shutdown failed: {e}");
         }
@@ -1131,50 +1080,43 @@ impl Drop for Server {
 #[derive(Clone)]
 pub struct Handle {
     inner: Arc<Inner>,
-    tx: channel::Sender<Msg>,
 }
 
 impl Handle {
-    /// Submits a request with the server's default deadline and waits for
-    /// the response. Never blocks on a full queue and never panics: queue
-    /// pressure, expiry, and shutdown surface as the corresponding
-    /// [`Response`] variants.
+    /// Executes a request on the calling thread. Never blocks on admission
+    /// and never panics: too many requests in flight and shutdown surface
+    /// as the corresponding [`Response`] variants.
     pub fn call(&self, req: Request) -> Response {
-        self.call_with_deadline(req, None)
-    }
-
-    /// [`Handle::call`] with an explicit queue deadline.
-    pub fn call_with_deadline(&self, req: Request, deadline: Option<Duration>) -> Response {
-        if self.inner.draining.load(Ordering::SeqCst) {
+        let inner = &*self.inner;
+        if inner.draining.load(Ordering::SeqCst) {
             return Response::ShuttingDown;
         }
-        let (reply_tx, reply_rx) = std::sync::mpsc::sync_channel(1);
-        let job = Job {
-            req,
-            enqueued: Instant::now(),
-            deadline: deadline.unwrap_or(self.inner.cfg.default_deadline),
-            reply: reply_tx,
-        };
-        // Count admission optimistically so a stats request never observes
-        // itself missing; rolled back on rejection.
-        self.inner.metrics.accepted.fetch_add(1, Ordering::Relaxed);
-        match self.tx.try_send(Msg::Job(job)) {
-            // A worker always answers; an error means the pool is gone
-            // (drain raced the admission check above).
-            Ok(()) => reply_rx.recv().unwrap_or(Response::ShuttingDown),
-            Err(TrySendError::Full(_)) => {
-                self.inner.metrics.accepted.fetch_sub(1, Ordering::Relaxed);
-                self.inner
-                    .metrics
-                    .overloaded
-                    .fetch_add(1, Ordering::Relaxed);
-                Response::Overloaded
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                self.inner.metrics.accepted.fetch_sub(1, Ordering::Relaxed);
-                Response::ShuttingDown
-            }
+        // Only admitted calls take a unit, so callers being turned away
+        // never crowd out the next one. Count first, then check `draining`
+        // again: see `Server::drain`.
+        let capacity = inner.cfg.queue_capacity.max(1);
+        let counted = inner
+            .in_flight
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < capacity).then_some(n + 1)
+            });
+        if counted.is_err() {
+            inner.metrics.overloaded.fetch_add(1, Ordering::Relaxed);
+            return Response::Overloaded;
         }
+        let _slot = InFlight(&inner.in_flight);
+        if inner.draining.load(Ordering::SeqCst) {
+            return Response::ShuttingDown;
+        }
+        inner.metrics.accepted.fetch_add(1, Ordering::Relaxed);
+        if !inner.cfg.call_delay.is_zero() {
+            // Fault-injection pause (tests); see ServerConfig::call_delay.
+            std::thread::sleep(inner.cfg.call_delay);
+        }
+        let start = Instant::now();
+        let resp = SCRATCH.with(|scratch| inner.execute(req, &mut scratch.borrow_mut()));
+        inner.metrics.service_time.record(start.elapsed());
+        resp
     }
 
     /// Whether the server has begun draining.
@@ -1182,7 +1124,7 @@ impl Handle {
         self.inner.draining.load(Ordering::SeqCst)
     }
 
-    /// Current counters (without going through the request queue).
+    /// Current counters (without being admitted as a request).
     pub fn stats(&self) -> StatsSnapshot {
         self.inner.stats()
     }
@@ -1195,7 +1137,6 @@ mod tests {
     fn cfg(shards: usize) -> ServerConfig {
         ServerConfig {
             shards,
-            workers: 2,
             ..ServerConfig::default()
         }
     }
@@ -1467,5 +1408,72 @@ mod tests {
         server.shutdown();
         assert!(h.is_draining());
         assert_eq!(h.call(Request::Stats), Response::ShuttingDown);
+    }
+
+    /// The largest in-flight count seen while `threads` callers send
+    /// `Stats` as fast as they can for `window`.
+    fn max_in_flight_under_callers(server: &Server, threads: usize, window: Duration) -> usize {
+        let stop = Arc::new(AtomicBool::new(false));
+        let callers: Vec<_> = (0..threads)
+            .map(|_| {
+                let (h, stop) = (server.handle(), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        h.call(Request::Stats);
+                    }
+                })
+            })
+            .collect();
+        let start = Instant::now();
+        let mut max = 0;
+        while start.elapsed() < window {
+            max = max.max(server.inner.in_flight.load(Ordering::SeqCst));
+        }
+        stop.store(true, Ordering::Relaxed);
+        for c in callers {
+            c.join().expect("caller thread");
+        }
+        max
+    }
+
+    #[test]
+    fn rejected_calls_never_hold_capacity() {
+        // One slow call holds the only unit. Callers turned away meanwhile
+        // must not count themselves, or a caller arriving just as the slow
+        // call ends could be refused while nothing executes.
+        let server = Server::start(ServerConfig {
+            queue_capacity: 1,
+            call_delay: Duration::from_millis(300),
+            ..cfg(2)
+        })
+        .expect("valid config");
+        let slow = {
+            let h = server.handle();
+            std::thread::spawn(move || h.call(Request::Stats))
+        };
+        while server.stats().accepted == 0 {
+            std::thread::yield_now();
+        }
+        let max = max_in_flight_under_callers(&server, 4, Duration::from_millis(50));
+        assert_eq!(max, 1, "rejected callers held capacity");
+        assert!(server.stats().overloaded > 0);
+        assert!(matches!(
+            slow.join().expect("slow call"),
+            Response::Stats(_)
+        ));
+        assert!(matches!(
+            server.handle().call(Request::Stats),
+            Response::Stats(_)
+        ));
+    }
+
+    #[test]
+    fn callers_turned_away_by_a_drain_hold_no_unit() {
+        // Once draining, no caller touches the count, so a steady stream
+        // of calls cannot hold the shutdown flush back.
+        let server = Server::start(cfg(2)).expect("valid config");
+        server.drain();
+        let max = max_in_flight_under_callers(&server, 4, Duration::from_millis(50));
+        assert_eq!(max, 0);
     }
 }

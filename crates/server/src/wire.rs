@@ -5,16 +5,19 @@
 //!
 //! ```json
 //! {"op":"insert","set":[1,2,3]}
-//! {"op":"query","set":[1,2,3],"deadline_ms":50}
+//! {"op":"query","set":[1,2,3]}
 //! {"op":"query_insert","set":[4,5,6]}
 //! {"op":"remove","id":12}
 //! {"op":"stats"}
 //! {"op":"shutdown"}
 //! ```
 //!
+//! Fields an op does not use are ignored, so a `"deadline_ms"` from an older
+//! client is accepted: a call runs as soon as it is admitted.
+//!
 //! Successful responses carry `"ok":true` plus the op's payload; failures
 //! carry `"ok":false` and an `"error"` discriminator (`"overloaded"`,
-//! `"timeout"`, `"shutting_down"`, or `"bad_request"` with a message):
+//! `"shutting_down"`, or `"bad_request"` with a message):
 //!
 //! ```json
 //! {"ok":true,"op":"insert","id":12,"seq":3}
@@ -30,18 +33,15 @@ use crate::service::{Request, Response};
 use ssj_core::set::ElementId;
 use ssj_io::json::{parse, write_escaped};
 use std::fmt::Write as _;
-use std::time::Duration;
 
-/// A parsed client line: either a service request (with an optional
-/// per-request deadline) or the session-level shutdown command.
+/// A parsed client line: either a service request or the session-level
+/// shutdown command.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireRequest {
     /// Submit this to the service.
     Call {
         /// The operation.
         req: Request,
-        /// Queue deadline override from `"deadline_ms"`.
-        deadline: Option<Duration>,
     },
     /// `{"op":"shutdown"}`: drain the server and close.
     Shutdown,
@@ -55,10 +55,6 @@ pub fn parse_request(line: &str) -> Result<WireRequest, String> {
         .get("op")
         .ok_or_else(|| "missing \"op\" field".to_string())?
         .as_str()?;
-    let deadline = match obj.get("deadline_ms") {
-        Some(v) => Some(Duration::from_millis(v.as_u64()?)),
-        None => None,
-    };
     let set_field = || -> Result<Vec<ElementId>, String> {
         let items = obj
             .get("set")
@@ -100,7 +96,7 @@ pub fn parse_request(line: &str) -> Result<WireRequest, String> {
         "shutdown" => return Ok(WireRequest::Shutdown),
         other => return Err(format!("unknown op {other:?}")),
     };
-    Ok(WireRequest::Call { req, deadline })
+    Ok(WireRequest::Call { req })
 }
 
 /// Appends `bytes` as a lowercase-hex JSON string (with quotes). Binary
@@ -115,8 +111,8 @@ fn write_hex(out: &mut String, bytes: &[u8]) {
     out.push('"');
 }
 
-/// Decodes a lowercase-hex string written by [`write_hex`] (quotes already
-/// stripped by the JSON parser).
+/// Decodes a lowercase-hex string as the wire encodes binary payloads
+/// (quotes already stripped by the JSON parser).
 pub fn parse_hex(s: &str) -> Result<Vec<u8>, String> {
     let digits = s.as_bytes();
     if !digits.len().is_multiple_of(2) {
@@ -187,9 +183,7 @@ fn write_stats(out: &mut String, s: &StatsSnapshot) {
             c.inserts, c.removes, c.queries, c.candidates_probed, c.bitmap_pruned, c.verified_hits
         );
     }
-    out.push_str("],\"queue_wait\":");
-    write_histogram(out, &s.queue_wait);
-    out.push_str(",\"service_time\":");
+    out.push_str("],\"service_time\":");
     write_histogram(out, &s.service_time);
 }
 
@@ -277,7 +271,6 @@ pub fn encode_response(resp: &Response) -> String {
             out.push_str("]}");
         }
         Response::Overloaded => out.push_str("{\"ok\":false,\"error\":\"overloaded\"}"),
-        Response::Timeout => out.push_str("{\"ok\":false,\"error\":\"timeout\"}"),
         Response::ShuttingDown => out.push_str("{\"ok\":false,\"error\":\"shutting_down\"}"),
         Response::Error(msg) => {
             out.push_str("{\"ok\":false,\"error\":\"bad_request\",\"message\":");
@@ -300,22 +293,19 @@ mod tests {
             WireRequest::Call {
                 req: Request::Insert {
                     elems: vec![3, 1, 2]
-                },
-                deadline: None
+                }
             }
         );
         assert_eq!(
             parse_request(r#"{"op":"query","set":[7],"deadline_ms":250}"#).unwrap(),
             WireRequest::Call {
-                req: Request::Query { elems: vec![7] },
-                deadline: Some(Duration::from_millis(250))
+                req: Request::Query { elems: vec![7] }
             }
         );
         assert_eq!(
             parse_request(r#"{"op":"remove","id":42}"#).unwrap(),
             WireRequest::Call {
-                req: Request::Remove { id: 42 },
-                deadline: None
+                req: Request::Remove { id: 42 }
             }
         );
         assert!(matches!(
@@ -328,29 +318,25 @@ mod tests {
         assert_eq!(
             parse_request(r#"{"op":"stats"}"#).unwrap(),
             WireRequest::Call {
-                req: Request::Stats,
-                deadline: None
+                req: Request::Stats
             }
         );
         assert_eq!(
             parse_request(r#"{"op":"compact"}"#).unwrap(),
             WireRequest::Call {
-                req: Request::Compact,
-                deadline: None
+                req: Request::Compact
             }
         );
         assert_eq!(
             parse_request(r#"{"op":"tail","from_seq":17}"#).unwrap(),
             WireRequest::Call {
-                req: Request::Tail { from_seq: 17 },
-                deadline: None
+                req: Request::Tail { from_seq: 17 }
             }
         );
         assert_eq!(
             parse_request(r#"{"op":"snap_fetch"}"#).unwrap(),
             WireRequest::Call {
-                req: Request::SnapFetch,
-                deadline: None
+                req: Request::SnapFetch
             }
         );
         assert_eq!(
@@ -465,7 +451,6 @@ mod tests {
                 file: "/tmp/x/segment-0000000000000007.seg".into(),
             },
             Response::Overloaded,
-            Response::Timeout,
             Response::ShuttingDown,
             Response::Error("bad \"stuff\"".into()),
         ];
@@ -525,11 +510,6 @@ mod tests {
             accepted: 5,
             overloaded: 1,
             timeouts: 0,
-            queue_wait: HistogramSnapshot {
-                buckets: vec![0; 4],
-                count: 0,
-                sum_micros: 0,
-            },
             service_time: HistogramSnapshot {
                 buckets: vec![0; 4],
                 count: 0,

@@ -1,11 +1,13 @@
 //! Allocation witness for the full serve read path (DESIGN.md §5g).
 //!
 //! Companion to `ssj-core/tests/alloc_witness.rs`, which pins the
-//! per-shard building blocks; this one pins the end-to-end path a worker
+//! per-shard building blocks; this one pins the end-to-end path a calling
 //! thread runs per query — canonicalization, the ascending read-lock
 //! recursion over every shard, signature generation, candidate sweeping,
 //! verification, and global-id encoding — asserting a warmed
-//! [`ShardedIndex::query_scratch`] call performs zero heap allocations.
+//! [`ShardedIndex::query_scratch`] call performs zero heap allocations, and
+//! that [`Handle::call`] adds none on top (admission, the thread's scratch,
+//! the reply).
 //!
 //! Strict assertions are release-only and skipped under the
 //! `lock-witness` feature: both the debug lock-order witness and the
@@ -20,7 +22,7 @@ use std::hint::black_box;
 
 use ssj_core::set::ElementId;
 use ssj_serve::service::ServeScratch;
-use ssj_serve::{ServerConfig, ShardedIndex};
+use ssj_serve::{Handle, Request, Response, Server, ServerConfig, ShardedIndex};
 
 thread_local! {
     /// Heap allocations made by the current thread (allocs + reallocs).
@@ -121,6 +123,84 @@ fn warmed_sharded_queries_allocate_nothing() {
         assert_eq!(
             allocs, 0,
             "serve read path: expected zero steady-state allocations, observed {allocs}"
+        );
+    }
+}
+
+#[test]
+fn warmed_handle_calls_allocate_nothing() {
+    let server = Server::start(ServerConfig {
+        gamma: 0.6,
+        shards: 4,
+        initial_max_size: 32,
+        seed: 7,
+        ..ServerConfig::default()
+    })
+    .expect("valid config");
+    let handle: Handle = server.handle();
+
+    // Index overlapping sets. Each query keeps half of an indexed set and
+    // swaps the rest for unindexed elements: it shares signatures with
+    // indexed sets (candidates are probed) but matches none of them, so
+    // every reply is empty and owns no heap buffer.
+    let mut state = 0x5eed_0044u64;
+    let mut probes: Vec<Vec<ElementId>> = Vec::new();
+    for i in 0..200u32 {
+        let len = 8 + (splitmix64(&mut state) % 17) as usize;
+        let mut set: Vec<ElementId> = (0..len)
+            .map(|_| (splitmix64(&mut state) % 400) as ElementId)
+            .collect();
+        set.sort_unstable();
+        set.dedup();
+        let half = set.len() / 2;
+        let probe = set[..half]
+            .iter()
+            .copied()
+            .chain((0..set.len() - half).map(|k| 1_000 + i * 32 + k as u32))
+            .collect();
+        assert!(matches!(
+            handle.call(Request::Insert { elems: set }),
+            Response::Inserted { .. }
+        ));
+        probes.push(probe);
+    }
+    let queries = || -> Vec<Request> {
+        probes
+            .iter()
+            .take(64)
+            .map(|set| Request::Query { elems: set.clone() })
+            .collect()
+    };
+    // Answers (empty replies, candidates probed) for one pass of `requests`.
+    let run = |requests: Vec<Request>| {
+        let (mut empty, mut probed_total) = (0usize, 0u64);
+        for req in requests {
+            if let Response::Matches { ids, probed, .. } = handle.call(black_box(req)) {
+                empty += usize::from(ids.is_empty());
+                probed_total += probed;
+            }
+        }
+        (empty, probed_total)
+    };
+
+    // Warm-up: grow this thread's scratch to steady-state capacity.
+    let warm = run(queries());
+    assert_eq!(warm.0, 64, "every reply must be an empty match list");
+    assert!(
+        warm.1 > 0,
+        "the queries probed no candidates: the workload is idle"
+    );
+
+    let requests = queries();
+    let (allocs, steady) = count_allocs(|| run(requests));
+    assert_eq!(steady, warm, "steady-state pass must repeat the warm-up");
+    server.shutdown();
+    if cfg!(any(debug_assertions, feature = "lock-witness")) {
+        eprintln!("Handle::call: {allocs} alloc(s) with lock witness active (not enforced)");
+    } else {
+        assert_eq!(
+            allocs, 0,
+            "Handle::call on the read path: expected zero steady-state allocations, observed {allocs}"
         );
     }
 }

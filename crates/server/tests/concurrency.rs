@@ -116,7 +116,6 @@ fn concurrent_clients_match_sequential_oracle() {
     let server = Server::start(ServerConfig {
         gamma: GAMMA,
         shards: 3,
-        workers: 4,
         queue_capacity: 1024,
         seed: 7,
         ..ServerConfig::default()

@@ -1,10 +1,10 @@
-//! Admission-control behaviour under pressure: a queue bound of Q with
-//! more than Q requests in flight must answer `Overloaded`/`Timeout` —
-//! never panic, never block forever — and shutdown must drain cleanly.
+//! Admission-control behaviour under pressure: an in-flight bound of Q
+//! with more than Q callers must answer `Overloaded` — never panic, never
+//! block forever — and shutdown must drain cleanly.
 //!
 //! Determinism on any machine (including single-core CI) comes from the
-//! `worker_delay` fault-injection knob: one worker that pauses before each
-//! job keeps the queue occupied for as long as the test needs.
+//! `call_delay` fault-injection knob: every admitted call pauses before it
+//! executes, so it holds its in-flight slot for as long as the test needs.
 
 use ssj_serve::{Request, Response, Server, ServerConfig};
 use std::sync::{Arc, Barrier};
@@ -13,14 +13,13 @@ use std::time::Duration;
 fn slow_config(queue_capacity: usize, delay_ms: u64) -> ServerConfig {
     ServerConfig {
         shards: 2,
-        workers: 1,
         queue_capacity,
-        worker_delay: Duration::from_millis(delay_ms),
+        call_delay: Duration::from_millis(delay_ms),
         ..ServerConfig::default()
     }
 }
 
-fn fan_out(server: &Server, clients: usize, deadline: Option<Duration>) -> Vec<Response> {
+fn fan_out(server: &Server, clients: usize) -> Vec<Response> {
     let barrier = Arc::new(Barrier::new(clients));
     let threads: Vec<_> = (0..clients)
         .map(|i| {
@@ -29,12 +28,9 @@ fn fan_out(server: &Server, clients: usize, deadline: Option<Duration>) -> Vec<R
             std::thread::spawn(move || {
                 barrier.wait();
                 let base = i as u32 * 100;
-                handle.call_with_deadline(
-                    Request::Insert {
-                        elems: (base..base + 5).collect(),
-                    },
-                    deadline,
-                )
+                handle.call(Request::Insert {
+                    elems: (base..base + 5).collect(),
+                })
             })
         })
         .collect();
@@ -46,10 +42,10 @@ fn fan_out(server: &Server, clients: usize, deadline: Option<Duration>) -> Vec<R
 
 #[test]
 fn full_queue_rejects_with_overloaded() {
-    const QUEUE: usize = 2;
+    const CAPACITY: usize = 2;
     const CLIENTS: usize = 8;
-    let server = Server::start(slow_config(QUEUE, 30)).expect("valid config");
-    let responses = fan_out(&server, CLIENTS, None);
+    let server = Server::start(slow_config(CAPACITY, 30)).expect("valid config");
+    let responses = fan_out(&server, CLIENTS);
 
     let inserted = responses
         .iter()
@@ -64,12 +60,12 @@ fn full_queue_rejects_with_overloaded() {
         CLIENTS,
         "every request gets exactly one definite answer: {responses:?}"
     );
-    // With one worker pausing 30ms per job, at most 1 in-flight + QUEUE
-    // queued requests can be admitted from a simultaneous burst of 8;
-    // the rest must be turned away at the door.
+    // Each admitted call holds its slot for 30ms, so at most CAPACITY calls
+    // of a simultaneous burst of 8 are in flight at once; the rest must
+    // be turned away at the door.
     assert!(
         overloaded >= 1,
-        "queue bound {QUEUE} with {CLIENTS} in flight must overload: {responses:?}"
+        "in-flight bound {CAPACITY} with {CLIENTS} in flight must overload: {responses:?}"
     );
     assert!(inserted >= 1, "the in-flight request must succeed");
 
@@ -81,44 +77,13 @@ fn full_queue_rejects_with_overloaded() {
 }
 
 #[test]
-fn expired_deadlines_answer_timeout_without_executing() {
-    const CLIENTS: usize = 5;
-    let server = Server::start(slow_config(64, 40)).expect("valid config");
-    let responses = fan_out(&server, CLIENTS, Some(Duration::from_millis(5)));
-
-    let inserted = responses
-        .iter()
-        .filter(|r| matches!(r, Response::Inserted { .. }))
-        .count();
-    let timeouts = responses
-        .iter()
-        .filter(|r| matches!(r, Response::Timeout))
-        .count();
-    assert_eq!(
-        inserted + timeouts,
-        CLIENTS,
-        "burst answers must be Inserted or Timeout: {responses:?}"
-    );
-    // Jobs behind the first wait ≥ 40ms (the worker's delay) with a 5ms
-    // deadline, so at least one must expire.
-    assert!(timeouts >= 1, "{responses:?}");
-
-    let stats = server.stats();
-    assert_eq!(stats.timeouts, timeouts as u64);
-    // Timed-out work is never executed: the index only holds the sets
-    // whose inserts really ran.
-    assert_eq!(stats.live_sets.iter().sum::<u64>(), inserted as u64);
-    server.shutdown();
-}
-
-#[test]
-fn shutdown_drains_queued_work_and_rejects_later_calls() {
+fn shutdown_drains_in_flight_work_and_rejects_later_calls() {
     let server = Server::start(slow_config(64, 10)).expect("valid config");
     let handle = server.handle();
 
     // Admit a burst, then immediately shut down: every admitted request
-    // must still be answered (FIFO drain), not dropped.
-    let responses = fan_out(&server, 4, None);
+    // must still be answered, not dropped.
+    let responses = fan_out(&server, 4);
     assert!(
         responses
             .iter()

@@ -17,7 +17,6 @@ fn test_dir(name: &str) -> PathBuf {
 fn durable_cfg(dir: &Path, sync: SyncMode) -> ServerConfig {
     ServerConfig {
         shards: 3,
-        workers: 2,
         data_dir: Some(dir.to_path_buf()),
         sync,
         ..ServerConfig::default()
@@ -125,7 +124,7 @@ fn kill_without_drain_preserves_durably_acked_writes() {
     }
 
     // Simulated crash: no drain, no flush, no WAL truncation — the
-    // process just stops caring. (Worker threads leak until test exit.)
+    // process just stops caring.
     std::mem::forget(server);
 
     let recovered =
@@ -166,6 +165,74 @@ fn graceful_shutdown_flush_covers_unsynced_acks() {
         ShardedIndex::open(&durable_cfg(&dir, SyncMode::Never)).expect("recovery succeeds");
     let (ids, _, _) = recovered.query(vec![5, 6, 7, 8]);
     assert_eq!(ids, vec![id], "write acked before graceful shutdown lost");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn shutdown_mid_burst_keeps_every_acked_write() {
+    let dir = test_dir("drain_burst");
+    // sync=never: only the drain's flush makes the acked tail durable, and
+    // every call pauses 5 ms after admission, so the shutdown below lands
+    // while calls are in flight.
+    let cfg = ServerConfig {
+        call_delay: std::time::Duration::from_millis(5),
+        queue_capacity: 64,
+        ..durable_cfg(&dir, SyncMode::Never)
+    };
+    let server = Server::start(cfg.clone()).expect("server starts");
+    // Each caller waits here after its first ack; the shutdown follows
+    // while the callers go on inserting.
+    let first_acks = std::sync::Arc::new(std::sync::Barrier::new(5));
+    let callers: Vec<_> = (0..4u32)
+        .map(|t| {
+            let (h, first_acks) = (server.handle(), std::sync::Arc::clone(&first_acks));
+            std::thread::spawn(move || {
+                let mut acked = Vec::new();
+                for i in 0..1_000u32 {
+                    let elems: Vec<u32> = (0..5).map(|k| t * 100_000 + i * 10 + k).collect();
+                    match h.call(Request::Insert {
+                        elems: elems.clone(),
+                    }) {
+                        Response::Inserted { id, .. } => acked.push((id, elems)),
+                        Response::ShuttingDown => return (acked, true),
+                        other => panic!("unexpected {other:?}"),
+                    }
+                    if i == 0 {
+                        first_acks.wait();
+                    }
+                }
+                (acked, false)
+            })
+        })
+        .collect();
+    first_acks.wait();
+    server.shutdown();
+    // Reopen at once, before the callers are joined: a write acked after
+    // the drain's flush would be missing here.
+    let (states, _) = ShardedIndex::open(&cfg).expect("recovery succeeds").dump();
+
+    let mut acked = std::collections::BTreeMap::new();
+    for caller in callers {
+        let (writes, stopped) = caller.join().expect("caller thread");
+        assert!(stopped, "the shutdown must land mid-burst");
+        acked.extend(writes);
+    }
+    assert!(!acked.is_empty(), "no insert was acked before the shutdown");
+    let n = states.len() as u64;
+    let mut recovered = std::collections::BTreeMap::new();
+    for (shard, state) in (0..n).zip(&states) {
+        for (local, elems) in &state.live {
+            recovered.insert(u64::from(*local) * n + shard, elems.clone());
+        }
+    }
+    for (id, elems) in &acked {
+        assert_eq!(
+            recovered.get(id),
+            Some(elems),
+            "insert {id} was acked before shutdown returned but is not on disk"
+        );
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -231,7 +298,6 @@ fn concurrent_compacts_and_cadence_snapshots_recover_to_the_acked_state() {
     let dir = test_dir("concurrent_compact");
     // A cadence snapshot after every write, racing explicit compacts.
     let cfg = ServerConfig {
-        workers: 4,
         snapshot_every: 1,
         ..durable_cfg(&dir, SyncMode::Never)
     };

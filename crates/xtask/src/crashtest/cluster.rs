@@ -72,7 +72,6 @@ fn base_cfg(seed: u64, sync: SyncMode) -> ServerConfig {
     ServerConfig {
         gamma: 0.8,
         shards: 1 + (seed % 3) as usize,
-        workers: 1,
         initial_max_size: 16,
         seed: seed ^ 0xc1a5,
         sync,

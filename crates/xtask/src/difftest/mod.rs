@@ -122,15 +122,14 @@ impl SchemeKind {
     }
 
     /// Thread counts this scheme runs at. LSH uses its own sequential
-    /// candidate pass, the server owns its worker pool, the extern
+    /// candidate pass, the server runs each call on its caller, the extern
     /// executor streams partitions sequentially, and the cluster runs its
     /// own node-count sweep (their internal partition/node axes are the
     /// interesting ones), so each runs once per seed. The binary join runs
     /// sequentially and on two workers.
     pub fn thread_counts(self) -> &'static [usize] {
         match self {
-            Self::Lsh | Self::Extern | Self::Cluster => &[1],
-            Self::Serve => &[2],
+            Self::Lsh | Self::Serve | Self::Extern | Self::Cluster => &[1],
             Self::Binary => &[1, 2],
             _ => THREAD_MATRIX,
         }

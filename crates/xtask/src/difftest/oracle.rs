@@ -6,7 +6,6 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use std::time::Duration;
 
 use ssj_baselines::{IdentityScheme, LshJaccard, NaiveJoin, PrefixFilter, PrefixFilterConfig};
 use ssj_core::hash::FxHashMap;
@@ -181,7 +180,7 @@ fn run_scheme(kind: SchemeKind, w: &AdversarialWorkload, threads: usize) -> RunR
         }
         SchemeKind::Identity => driver_pairs(&IdentityScheme, &collection, pred, None, opts),
         SchemeKind::Lsh => Ok(lsh_pairs(w, &collection, pred, seed)),
-        SchemeKind::Serve => serve_pairs(w, threads),
+        SchemeKind::Serve => serve_pairs(w),
         SchemeKind::Extern => extern_pairs(w, &collection, pred, seed),
         SchemeKind::Cluster => cluster_pairs(w, &collection),
         SchemeKind::Binary => binary_pairs(w, pred, opts, seed),
@@ -253,9 +252,7 @@ fn cluster_pairs_at(
     let cfg = ServerConfig {
         gamma: w.gamma,
         shards: 2,
-        workers: 1,
         seed: w.seed ^ 0xc105,
-        default_deadline: Duration::from_secs(30),
         ..ServerConfig::default()
     };
     let sim = SimCluster::start_memory(nodes, &cfg).map_err(|e| format!("start failed: {e}"))?;
@@ -399,14 +396,12 @@ fn lsh_pairs(
 /// Drives the full ssj-serve wire path in process: insert every set over a
 /// scripted connection, query every set, and translate the matched global
 /// ids back to input indices.
-fn serve_pairs(w: &AdversarialWorkload, workers: usize) -> RunResult {
+fn serve_pairs(w: &AdversarialWorkload) -> RunResult {
     let collection = w.collection();
     let server = Server::start(ServerConfig {
         gamma: w.gamma,
         shards: 2,
-        workers: workers.max(1),
         seed: w.seed ^ 0x5e7e,
-        default_deadline: Duration::from_secs(30),
         ..ServerConfig::default()
     })
     .map_err(|e| format!("server start failed: {e}"))?;

@@ -36,10 +36,9 @@ const CONFIGURED: [&str; 15] = [
 
 /// `(file, lint)` for each `allow`/`expect` of a configured lint that may
 /// appear under a `src/`: the `FxHashMap`/`FxHashSet` aliases, the one
-/// float-to-integer cast, and the two `compat/` shims that wrap the
+/// float-to-integer cast, and the `compat/` shim that wraps the
 /// `std::sync` locks.
-const EXEMPTIONS: [(&str, &str); 6] = [
-    ("compat/crossbeam/src/lib.rs", "clippy::disallowed_types"),
+const EXEMPTIONS: [(&str, &str); 5] = [
     ("compat/parking_lot/src/lib.rs", "clippy::disallowed_types"),
     (
         "crates/core/src/cast.rs",

@@ -19,7 +19,7 @@ got=$(printf '%s\n' \
   '{"op":"query","set":[1,2,3,4,5,6]}' \
   '{"op":"stats"}' \
   '{"op":"shutdown"}' \
-  | "$BIN" cluster --nodes 2 --threshold 0.8 --shards 2 --workers 2 --seed 42 \
+  | "$BIN" cluster --nodes 2 --threshold 0.8 --shards 2 --seed 42 \
     2>/dev/null)
 
 # Deterministic given --seed 42: {1..5} lands on ring node 0 (node-local

@@ -20,7 +20,7 @@ trap cleanup EXIT
 
 # Port 0 → the kernel picks a free port; the server prints the bound
 # address on stderr.
-"$BIN" serve --addr 127.0.0.1:0 --threshold 0.8 --shards 2 --workers 2 2>"$log" &
+"$BIN" serve --addr 127.0.0.1:0 --threshold 0.8 --shards 2 2>"$log" &
 pid=$!
 
 addr=""
