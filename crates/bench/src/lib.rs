@@ -13,6 +13,7 @@
 //! seed-deterministic join counters of a small address self-join.
 
 #![warn(missing_docs)]
+#![expect(clippy::disallowed_methods, reason = "measurement records")]
 // Unlike the library crates, no `deny(clippy::unwrap_used, expect_used,
 // panic)`: aborting on a malformed config or record is acceptable for an
 // offline measurement tool.

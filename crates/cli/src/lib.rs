@@ -6,6 +6,7 @@
 //! Run `ssjoin --help` for the full surface.
 
 #![warn(missing_docs)]
+#![expect(clippy::disallowed_methods, reason = "the user's input and output")]
 // Unlike the library crates, no `deny(clippy::unwrap_used, expect_used,
 // panic)`: a top-level expect/panic aborts the process with a message,
 // which is the intended CLI failure mode.

@@ -161,11 +161,14 @@ impl ClusterMeta {
     /// same recovery discipline the store applies to snapshot litter.
     pub fn load(dir: &Path) -> io::Result<Self> {
         ssj_io::fs::sweep_tmp_files(dir)?;
-        Self::decode(&fs::read(dir.join(META_FILE))?)
+        #[expect(clippy::disallowed_methods, reason = "CRC-checked by FrameReader")]
+        let bytes = fs::read(dir.join(META_FILE))?;
+        Self::decode(&bytes)
     }
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests plant raw files")]
 mod tests {
     use super::*;
 

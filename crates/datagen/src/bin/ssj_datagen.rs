@@ -5,6 +5,8 @@
 //! ssj-datagen <address|dblp> --count N [--seed S] [--output FILE]
 //! ```
 
+#![expect(clippy::disallowed_methods, reason = "the requested corpus file")]
+
 use ssj_datagen::{generate_addresses, generate_dblp, AddressConfig, DblpConfig};
 use std::io::Write;
 use std::process::ExitCode;

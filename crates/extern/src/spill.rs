@@ -28,7 +28,10 @@ use ssj_io::varint::{read_varint, write_varint};
 
 /// File name of spill partition `part` (inside the spill directory).
 pub fn partition_file_name(part: usize) -> String {
-    // durlint: allow(tmp-no-sweep): spill partitions are transient scratch, deliberately named `*.tmp` so the store-side sweep (`sweep_tmp_files` in `Store::open`) reclaims them after a crashed join; the executor removes each partition after processing.
+    // Spill partitions are transient scratch, deliberately named `*.tmp`
+    // so the store-side sweep (`sweep_tmp_files` in `Store::open`) reclaims
+    // them after a crashed join; the executor removes each partition after
+    // processing.
     format!("part-{part}.spill.tmp")
 }
 
@@ -185,6 +188,7 @@ pub fn remove_partitions(dir: &Path, partitions: usize) -> io::Result<()> {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests tear a raw file")]
 mod tests {
     use super::*;
 

@@ -8,10 +8,10 @@
 //! > stage to a `*.tmp` sibling → `sync_all` the staged file →
 //! > `rename` over the final name → `sync_all` the parent directory.
 //!
-//! The static pass `cargo xtask durlint` proves the protocol's shape on
-//! every source path (DESIGN.md §5k); this module is the *exact* half of
-//! that signature→verify split, mirroring `ssj_core::lockwitness`: the
-//! one publisher, [`crate::fs::publish_durable`], reports each
+//! `clippy.toml`'s `disallowed-methods` keeps the protocol in one
+//! function (DESIGN.md §5k); this module checks that it runs in order,
+//! mirroring `ssj_core::lockwitness`: the one publisher,
+//! [`crate::fs::publish_durable`], reports each
 //! create/write/fsync/rename/dirsync event here, and in debug builds —
 //! or with the `fs-witness` feature — two orderings are asserted as the
 //! events arrive:

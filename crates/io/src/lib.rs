@@ -159,12 +159,14 @@ pub fn collection_from_bytes(bytes: &[u8]) -> io::Result<SetCollection> {
 
 /// Saves a collection to a file (buffered).
 pub fn save_collection(path: impl AsRef<Path>, collection: &SetCollection) -> io::Result<()> {
+    #[expect(clippy::disallowed_methods, reason = "user output, not engine state")]
     let mut out = io::BufWriter::new(std::fs::File::create(path)?);
     write_collection(&mut out, collection)?;
     out.flush()
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests read raw files")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

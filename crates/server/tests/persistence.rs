@@ -122,6 +122,13 @@ fn kill_without_drain_preserves_durably_acked_writes() {
         );
         acked.push(json_u64(line, "id"));
     }
+    // A remove is a durably acked write too.
+    let script = format!("{{\"op\":\"remove\",\"id\":{}}}\n", acked[2]);
+    let mut out = Vec::new();
+    ssj_serve::net::serve_connection(&handle, script.as_bytes(), &mut out).expect("session");
+    let rm = std::str::from_utf8(&out).expect("utf8").trim_end();
+    assert!(rm.contains("\"found\":true"), "{rm}");
+    assert!(json_u64(rm, "durable_seq") > json_u64(rm, "seq"), "{rm}");
 
     // Simulated crash: no drain, no flush, no WAL truncation — the
     // process just stops caring.
@@ -129,18 +136,20 @@ fn kill_without_drain_preserves_durably_acked_writes() {
 
     let recovered =
         ShardedIndex::open(&durable_cfg(&dir, SyncMode::Every)).expect("recovery succeeds");
-    for (elems, id) in [
-        (vec![10u32, 20, 30], acked[0]),
-        (vec![7, 8, 9], acked[1]),
-        (vec![42, 43], acked[2]),
-    ] {
+    for (elems, id) in [(vec![10u32, 20, 30], acked[0]), (vec![7, 8, 9], acked[1])] {
         let (ids, _, _) = recovered.query(elems.clone());
         assert!(
             ids.contains(&id),
             "acked write {id} ({elems:?}) lost across kill+restart"
         );
     }
-    assert_eq!(recovered.seq(), 3, "sequence counter must resume past acks");
+    let (ids, _, _) = recovered.query(vec![42, 43]);
+    assert!(
+        !ids.contains(&acked[2]),
+        "acked remove of {} lost across kill+restart",
+        acked[2]
+    );
+    assert_eq!(recovered.seq(), 4, "sequence counter must resume past acks");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -174,6 +174,7 @@ struct WalFile {
 
 impl WalFile {
     fn sync(&mut self) -> io::Result<()> {
+        #[expect(clippy::disallowed_methods, reason = "the WAL's sync point")]
         self.file.sync_data()?;
         self.durable_seq = self.appended_seq;
         self.durable_bytes = self.appended_bytes;
@@ -252,6 +253,7 @@ impl Store {
 
         // Read the WAL up to its last valid record; classify the tail.
         let path = wal_path(dir);
+        #[expect(clippy::disallowed_methods, reason = "CRC-checked by FrameReader")]
         let bytes = match fs::read(&path) {
             Ok(b) => b,
             Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
@@ -289,6 +291,7 @@ impl Store {
         if valid_bytes < bytes.len() as u64 {
             file.set_len(valid_bytes)?;
         }
+        #[expect(clippy::disallowed_methods, reason = "makes the WAL trim durable")]
         file.sync_data()?;
         ssj_io::fs::sync_dir(dir)?;
 
@@ -433,6 +436,7 @@ impl Store {
         let wal = self.wal.lock();
         let appended_seq = wal.appended_seq;
         let appended_bytes = wal.appended_bytes as usize;
+        #[expect(clippy::disallowed_methods, reason = "CRC-checked by FrameReader")]
         let bytes = fs::read(wal_path(&self.dir))?;
         let bytes = &bytes[..appended_bytes.min(bytes.len())];
         let mut reader = FrameReader::new(bytes);
@@ -521,6 +525,7 @@ impl Store {
         // locklint: allow(blocking-under-lock, fn): truncation rewrites the file and both watermarks as one atomic step; an append interleaved between set_len and the watermark reset would be silently lost.
         let mut wal = self.wal.lock();
         wal.file.set_len(0)?;
+        #[expect(clippy::disallowed_methods, reason = "makes the truncation durable")]
         wal.file.sync_data()?;
         wal.appended_bytes = 0;
         wal.durable_bytes = 0;
@@ -532,6 +537,7 @@ impl Store {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "tests plant raw files")]
 mod tests {
     use super::*;
 
@@ -578,6 +584,26 @@ mod tests {
         assert_eq!(rec.wal.len(), 3);
         assert_eq!(rec.wal[0].seq, 0);
         assert_eq!(rec.wal[2].op, WalOp::Remove { shard: 0, local: 0 });
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn open_sweeps_stale_tmp_litter() {
+        let dir = tmpdir("sweep");
+        let c = cfg(2, SyncMode::Every);
+        let (store, _) = Store::open(&dir, c.clone()).unwrap();
+        store.append(insert(0, vec![1, 2]), || 0).unwrap();
+        store.flush().unwrap();
+        drop(store);
+        // A crash mid-publish leaves a torn snapshot stage, and a crashed
+        // out-of-core join a spill partition; recovery must not trip over
+        // either and must remove both.
+        fs::write(dir.join("shard-0.snap.tmp"), b"torn half-snapshot").unwrap();
+        fs::write(dir.join("part-0.spill.tmp"), b"torn spill").unwrap();
+        let (_store, rec) = Store::open(&dir, c).unwrap();
+        assert_eq!((rec.seq, rec.wal.len()), (1, 1));
+        assert!(!dir.join("shard-0.snap.tmp").exists());
+        assert!(!dir.join("part-0.spill.tmp").exists());
         fs::remove_dir_all(&dir).unwrap();
     }
 

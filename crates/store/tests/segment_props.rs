@@ -15,6 +15,8 @@
 //! 4. order — a checksum-valid image whose blocks overlap in id range is
 //!    refused when the earlier block is read.
 
+#![expect(clippy::disallowed_methods, reason = "tests tear segment files")]
+
 use proptest::prelude::*;
 use ssj_store::segment::{
     stream_segment, write_segment, BlockCache, Segment, SegmentBlock, SegmentStamp, SEGMENT_MAGIC,

@@ -1,7 +1,7 @@
 //! Shared name-union call-graph engine for the repo's interprocedural
-//! static-analysis passes (`locklint`, `hotlint`, `durlint`).
+//! static-analysis passes (`locklint`, `hotlint`).
 //!
-//! All three work the same way (see [`crate::engine`]): masked source
+//! Both work the same way (see [`crate::engine`]): masked source
 //! (see `scan.rs`) is split into function spans, each body is scanned
 //! into an event list under the pass's token table, and per-function
 //! facts propagate over a *name-resolved* call graph — a call to `flush`

@@ -1,5 +1,5 @@
-//! One engine for the interprocedural lint passes (`locklint`, `hotlint`,
-//! `durlint`): one table-driven extractor, one driver, one report.
+//! One engine for the interprocedural lint passes (`locklint`, `hotlint`):
+//! one table-driven extractor, one driver, one report.
 //!
 //! **Extractor** ([`extract_file`]). Source is masked (comments, strings
 //! and `#[cfg(test)]` regions blanked, line- and byte-preserving — see
@@ -71,26 +71,6 @@ pub enum Kind {
     Alloc,
     /// Copy of a (potentially) heap-owning value.
     Clone,
-    /// File-creating write (`File::create(`, `fs::write(`).
-    Create,
-    /// Raw byte write: dirties the file.
-    Write,
-    /// File fsync.
-    SyncFile,
-    /// Rename: publishes a name.
-    Rename,
-    /// Directory fsync.
-    SyncDir,
-    /// Durable-state read.
-    Read,
-    /// Integrity verification.
-    Verify,
-    /// Composite helper that performs a whole protocol internally: it
-    /// creates and settles nothing in the caller.
-    Opaque,
-    /// An ordinary call, emitted as [`Event::Call`] — listed in a table so
-    /// a path call (`fs::sweep_tmp_files(`) keeps it.
-    Call,
 }
 
 /// One pass's token vocabulary.
@@ -98,27 +78,18 @@ pub enum Kind {
 pub struct Table {
     /// Tokens in match order (first hit wins). An entry starting with `.`
     /// is a method chain matched at the dot (`.sync_all(`); any other is a
-    /// bare name matched as a call (`sleep(`) or as the `name` of a path
-    /// call.
+    /// bare name matched as a call (`sleep(`).
     pub tokens: &'static [&'static [(&'static str, Kind)]],
     /// Type names matched as `Type::{new,with_capacity,from,default}(`.
     pub ctors: &'static [(&'static str, Kind)],
     /// Macro names matched as `name!`.
     pub macros: &'static [(&'static str, Kind)],
-    /// Identifiers that count wherever they appear.
-    pub words: &'static [(&'static str, Kind)],
-    /// `root::name(` path calls. A root listed here consumes its whole
-    /// `::name(` suffix: an unlisted `name` is looked up in `tokens`, and
-    /// otherwise dropped rather than resolved as a call.
-    pub paths: &'static [(&'static str, &'static str, Kind)],
     /// Dotted method names never resolved as workspace calls.
     pub call_cut: &'static [&'static [&'static str]],
     /// `drop(<ident>)` releases a bound guard.
     pub releases: bool,
     /// Constructor-convention names ([`is_ctor_name`]) are never calls.
     pub cut_ctor_names: bool,
-    /// Raw-source markers of `*.tmp` staging lines ([`FileExtract::tmp_lines`]).
-    pub tmp_markers: &'static [&'static str],
 }
 
 /// Where a token matched, with the context analyses classify it by.
@@ -145,7 +116,7 @@ pub enum Event {
     Token {
         /// What it means.
         kind: Kind,
-        /// What matched (`Vec::new`, `collect`, `fs::write`, …).
+        /// What matched (`Vec::new`, `collect`, `sleep`, …).
         what: String,
         /// Where, in context.
         site: Site,
@@ -206,10 +177,6 @@ pub struct FileExtract {
     pub path: String,
     /// Functions with their event lists.
     pub fns: Vec<FnInfo>,
-    /// 1-based lines with a [`Table::tmp_markers`] hit. Matched on raw
-    /// lines, because masking blanks string literals, and kept only where
-    /// the masked, test-stripped line is code.
-    pub tmp_lines: Vec<usize>,
     /// The pass's suppression annotations (from raw comment lines).
     pub annotations: Vec<Annotation>,
 }
@@ -236,20 +203,9 @@ pub fn extract_file(relpath: &str, raw: &str, pass: &Pass) -> FileExtract {
         })
         .collect();
 
-    let tmp_lines = raw
-        .lines()
-        .zip(masked.lines())
-        .enumerate()
-        .filter(|(_, (raw_line, masked_line))| {
-            !masked_line.trim().is_empty() && table.tmp_markers.iter().any(|m| raw_line.contains(m))
-        })
-        .map(|(idx, _)| idx + 1)
-        .collect();
-
     FileExtract {
         path: relpath.to_string(),
         fns,
-        tmp_lines,
         annotations: parse_annotations(raw, pass.tool),
     }
 }
@@ -257,8 +213,8 @@ pub fn extract_file(relpath: &str, raw: &str, pass: &Pass) -> FileExtract {
 /// Whether a callee name follows the constructor convention (`new`,
 /// `default`, `from`, `build`, `restore`, `with_*`). Schemes, indexes and
 /// stores are built at setup time, and the name-union resolver maps
-/// `Foo::new(…)` onto *every* workspace `fn new` — so hotlint and durlint
-/// cut these names from call resolution entirely.
+/// `Foo::new(…)` onto *every* workspace `fn new` — so hotlint cuts these
+/// names from call resolution entirely.
 pub fn is_ctor_name(name: &str) -> bool {
     matches!(name, "new" | "default" | "from" | "build" | "restore") || name.starts_with("with_")
 }
@@ -379,33 +335,11 @@ impl<'a> Scanner<'a> {
         if KEYWORDS.contains(&word) {
             return j;
         }
-        let after = &masked[j..end];
-        if table.paths.iter().any(|&(root, _, _)| root == word) {
-            if let Some(name) = path_call(after) {
-                let listed = table
-                    .paths
-                    .iter()
-                    .find(|&&(r, n, _)| r == word && n == name);
-                match listed {
-                    Some(&(_, _, kind)) => self.token(kind, format!("{word}::{name}"), start),
-                    None => {
-                        if let Some(kind) = token_named(table, name) {
-                            self.token(kind, name.to_string(), start);
-                        }
-                    }
-                }
-                return j + 2 + name.len();
-            }
-        }
         if let Some(kind) = lookup(table.ctors, word) {
-            if let Some(ctor) = ctor_suffix(after) {
+            if let Some(ctor) = ctor_suffix(&masked[j..end]) {
                 self.token(kind, format!("{word}::{ctor}"), start);
                 return j;
             }
-        }
-        if let Some(kind) = lookup(table.words, word) {
-            self.token(kind, word.to_string(), start);
-            return j;
         }
         // The next non-whitespace byte decides what this ident is.
         let mut k = j;
@@ -449,10 +383,6 @@ impl<'a> Scanner<'a> {
     /// Records a token matched at byte `pos`.
     fn token(&mut self, kind: Kind, what: String, pos: usize) {
         let line = line_of(self.line_starts, pos);
-        if kind == Kind::Call {
-            self.events.push(Event::Call { name: what, line });
-            return;
-        }
         let prefix = &self.masked[self.line_starts[line - 1]..pos];
         let site = Site {
             line,
@@ -485,19 +415,6 @@ fn ctor_suffix(after: &str) -> Option<&'static str> {
                 .and_then(|r| r.strip_prefix(ctor))
                 .is_some_and(|r| r.starts_with('('))
         })
-}
-
-/// If `after` (text following a path segment) is `::name(`, the name.
-fn path_call(after: &str) -> Option<&str> {
-    let rest = after.strip_prefix("::")?;
-    let end = rest
-        .bytes()
-        .position(|b| !is_ident(b))
-        .unwrap_or(rest.len());
-    if end == 0 || !rest[end..].starts_with('(') {
-        return None;
-    }
-    Some(&rest[..end])
 }
 
 /// Every function of the scanned file set with its key and file.
@@ -596,7 +513,7 @@ pub struct Report {
     pub files: usize,
     /// Functions summarized.
     pub functions: usize,
-    /// The pass's own counter (hot functions, rename sites).
+    /// The pass's own counter (hot functions).
     pub counter: usize,
 }
 
@@ -781,7 +698,7 @@ fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{durlint, hotlint, locklint};
+    use crate::{hotlint, locklint};
 
     /// `(kind, line)` of every token, `(name, line)` of every call, and the
     /// number of releases.
@@ -815,7 +732,6 @@ fn f(g: G, p: &Path) {
 ";
         let (lock_tokens, lock_calls, lock_releases) = scan(src, &locklint::PASS);
         let (hot_tokens, hot_calls, hot_releases) = scan(src, &hotlint::PASS);
-        let (dur_tokens, dur_calls, dur_releases) = scan(src, &durlint::PASS);
         let call = |name: &str, line| (name.to_string(), line);
 
         // `lock_all_read(` acquires for locklint, is a plain call for hotlint.
@@ -823,24 +739,20 @@ fn f(g: G, p: &Path) {
         assert!(hot_calls.contains(&call("lock_all_read", 2)));
         assert!(!hot_tokens.iter().any(|t| t.1 == 2));
 
-        // `atomic_write_durable(` is opaque to durlint, not a call.
-        assert!(dur_tokens.contains(&(Kind::Opaque, 3)));
-        assert!(!dur_calls.iter().any(|c| c.1 == 3));
+        // `atomic_write_durable(` is a plain call for locklint.
         assert!(lock_calls.contains(&call("atomic_write_durable", 3)));
 
         // `Vec::new(` allocates only for hotlint.
         assert!(hot_tokens.contains(&(Kind::Alloc, 4)));
-        for tokens in [&lock_tokens, &dur_tokens] {
-            assert!(!tokens.iter().any(|t| t.1 == 4), "{tokens:?}");
-        }
+        assert!(!lock_tokens.iter().any(|t| t.1 == 4), "{lock_tokens:?}");
 
         // `drop(g)` releases only for locklint.
-        assert_eq!((lock_releases, hot_releases, dur_releases), (1, 0, 0));
+        assert_eq!((lock_releases, hot_releases), (1, 0));
         assert!(!lock_calls.iter().any(|c| c.0 == "drop"));
         assert!(hot_calls.contains(&call("drop", 5)));
 
-        // `Foo::new(` is cut by hotlint and durlint, a call for locklint.
+        // `Foo::new(` is cut by hotlint, a call for locklint.
         assert!(lock_calls.contains(&call("new", 6)));
-        assert!(!hot_calls.iter().chain(&dur_calls).any(|c| c.0 == "new"));
+        assert!(!hot_calls.iter().any(|c| c.0 == "new"));
     }
 }

@@ -188,8 +188,6 @@ pub static PASS: Pass = Pass {
         tokens: &[HOT_TOKENS, BLOCKING],
         ctors: HOT_CTORS,
         macros: &[("vec", Kind::Alloc), ("format", Kind::Alloc)],
-        words: &[],
-        paths: &[],
         call_cut: &[CALL_CUT],
         releases: false,
         // Schemes, indexes and stores are built at setup time: one
@@ -197,7 +195,6 @@ pub static PASS: Pass = Pass {
         // constructor into the hot set. Allocation *at* such a call is
         // still caught lexically; only the hotness cascade is cut.
         cut_ctor_names: true,
-        tmp_markers: &[],
     },
     analyze,
     counter: Some(("hot_functions", "hot")),

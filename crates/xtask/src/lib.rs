@@ -1,8 +1,9 @@
 #![warn(missing_docs)]
+#![expect(clippy::disallowed_methods, reason = "sources; files torn on purpose")]
 
 //! Workspace automation for the ssjoin repo.
 //!
-//! Five subcommands:
+//! Four subcommands:
 //!
 //! * `cargo xtask difftest` — deterministic differential testing of every
 //!   signature scheme against the naive oracle on seeded adversarial
@@ -14,11 +15,12 @@
 //!
 //! The line-level rules (no panics in library code, no default hasher, no
 //! `std::sync` locks, no narrowing or float-rounding casts in `ssj-core`,
-//! crate hygiene) are compiler lints, configured in the workspace
-//! `Cargo.toml`, `clippy.toml` and the crate roots; see DESIGN.md, "Static
-//! analysis & invariants", and `tests/lint_config.rs`.
+//! crate hygiene, durable state only through `ssj_io::fs::publish_durable`)
+//! are compiler lints, configured in the workspace `Cargo.toml`,
+//! `clippy.toml` and the crate roots; see DESIGN.md, "Static analysis &
+//! invariants", and `tests/lint_config.rs`.
 //!
-//! The three interprocedural passes run on one engine ([`engine`]: one
+//! The two interprocedural passes run on one engine ([`engine`]: one
 //! table-driven extractor, one driver, one report, in-source suppression
 //! annotations) over the shared name-union call graph ([`callgraph`]):
 //!
@@ -27,16 +29,11 @@
 //!   `ssj_core::lockwitness` (see [`locklint`] and DESIGN.md §5f);
 //! * `cargo xtask hotlint` — hot-path allocation/copy analysis, paired
 //!   with the counting-allocator witness (see [`hotlint`] and DESIGN.md
-//!   §5g);
-//! * `cargo xtask durlint` — crash-consistency protocol analysis (fsync
-//!   before rename, directory fsync after, ack-implies-WAL-sync, staged
-//!   tmp sweeps), paired with the runtime fs-order witness in
-//!   `ssj_io::fswitness` (see [`durlint`] and DESIGN.md §5k).
+//!   §5g).
 
 pub mod callgraph;
 pub mod crashtest;
 pub mod difftest;
-pub mod durlint;
 pub mod engine;
 pub mod hotlint;
 pub mod locklint;

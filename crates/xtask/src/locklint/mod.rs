@@ -164,12 +164,9 @@ pub static PASS: Pass = Pass {
         tokens: &[LOCK_SITES, BLOCKING],
         ctors: &[],
         macros: &[],
-        words: &[],
-        paths: &[],
         call_cut: &[DATA_METHODS],
         releases: true,
         cut_ctor_names: false,
-        tmp_markers: &[],
     },
     analyze: analysis::analyze,
     counter: None,

@@ -23,14 +23,6 @@ commands:
                         (exit 0 = clean, 1 = findings, 2 = engine error)
     --root <dir>        workspace root (default: walk up from cwd)
     --json              machine-readable report (findings + suppressions)
-  durlint [options]     crash-consistency protocol analysis: per-function
-                        filesystem-event replay over the call graph —
-                        fsync-before-rename, dir-fsync-after-rename,
-                        ack-implies-WAL-sync, staged-write discipline,
-                        verified recovery reads, tmp-litter sweeps
-                        (exit 0 = clean, 1 = findings, 2 = engine error)
-    --root <dir>        workspace root (default: walk up from cwd)
-    --json              machine-readable report (findings + suppressions)
   difftest [options]    differential-test every signature scheme against
                         the naive oracle on seeded adversarial workloads
                         (exit 0 = agreement, 1 = divergences, 2 = bad usage)
@@ -55,7 +47,6 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("locklint") => lint_pass(&xtask::locklint::PASS, &args[1..]),
         Some("hotlint") => lint_pass(&xtask::hotlint::PASS, &args[1..]),
-        Some("durlint") => lint_pass(&xtask::durlint::PASS, &args[1..]),
         Some("difftest") => difftest(&args[1..]),
         Some("crashtest") => crashtest(&args[1..]),
         Some("--help" | "-h" | "help") => {
@@ -177,7 +168,7 @@ fn crashtest(args: &[String]) -> ExitCode {
     }
 }
 
-/// `locklint` / `hotlint` / `durlint`: `[--root <dir>] [--json]`.
+/// `locklint` / `hotlint`: `[--root <dir>] [--json]`.
 fn lint_pass(pass: &'static Pass, args: &[String]) -> ExitCode {
     let mut root: Option<PathBuf> = None;
     let mut json = false;

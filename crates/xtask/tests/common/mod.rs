@@ -1,5 +1,4 @@
-//! Helpers shared by the `locklint`, `hotlint` and `durlint` end-to-end
-//! tests.
+//! Helpers shared by the `locklint` and `hotlint` end-to-end tests.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;

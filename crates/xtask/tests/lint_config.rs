@@ -3,12 +3,17 @@
 //!
 //! The repo's line-level rules are compiler lints (DESIGN.md, "Static
 //! analysis & invariants"): `[workspace.lints]` in the root `Cargo.toml`,
-//! `disallowed-types` in `clippy.toml`, and `deny` attributes at the crate
-//! roots they cover. Two things the compiler cannot check are pinned here:
-//! a member that does not opt into `[workspace.lints]` silently escapes the
-//! crate-hygiene lints, and an `allow`/`expect` of a configured lint in a
-//! crate's `src/` is an exemption. The only exemptions are the definition
-//! sites listed in [`EXEMPTIONS`].
+//! `disallowed-types` and `disallowed-methods` in `clippy.toml`, and `deny`
+//! attributes at the crate roots they cover. Two things the compiler cannot
+//! check are pinned here: a member that does not opt into
+//! `[workspace.lints]` silently escapes the crate-hygiene lints, and an
+//! `allow`/`expect` of a configured lint in a crate's `src/` is an
+//! exemption. The only exemptions are the sites listed in [`EXEMPTIONS`],
+//! one entry per attribute: deleting an exempted call together with its
+//! `#[expect]` fails this test, and deleting the call alone leaves the
+//! expectation unfulfilled, which clippy's `-D warnings` rejects.
+
+#![expect(clippy::disallowed_methods, reason = "reads the workspace's sources")]
 
 use std::path::{Path, PathBuf};
 
@@ -16,7 +21,7 @@ use xtask::scan::mask_non_code;
 
 /// Every lint the configuration sets, by the name an attribute uses, and
 /// the clippy groups that contain one.
-const CONFIGURED: [&str; 15] = [
+const CONFIGURED: [&str; 16] = [
     "unsafe_code",
     "rust_2018_idioms",
     "clippy::allow_attributes_without_reason",
@@ -25,6 +30,7 @@ const CONFIGURED: [&str; 15] = [
     "clippy::panic",
     "clippy::todo",
     "clippy::disallowed_types",
+    "clippy::disallowed_methods",
     "clippy::cast_possible_truncation",
     "clippy::cast_sign_loss",
     "clippy::cast_possible_wrap",
@@ -34,19 +40,47 @@ const CONFIGURED: [&str; 15] = [
     "clippy::restriction",
 ];
 
+const TYPES: &str = "clippy::disallowed_types";
+/// The durability rule: raw file writes, renames, fsyncs and reads.
+const METHODS: &str = "clippy::disallowed_methods";
+
 /// `(file, lint)` for each `allow`/`expect` of a configured lint that may
-/// appear under a `src/`: the `FxHashMap`/`FxHashSet` aliases, the one
-/// float-to-integer cast, and the `compat/` shim that wraps the
-/// `std::sync` locks.
-const EXEMPTIONS: [(&str, &str); 5] = [
-    ("compat/parking_lot/src/lib.rs", "clippy::disallowed_types"),
+/// appear under a `src/`, sorted: the `FxHashMap`/`FxHashSet` aliases, the
+/// one float-to-integer cast, the `compat/` shim that wraps the
+/// `std::sync` locks, the durable publisher's four steps, the WAL's syncs
+/// and checked reads, and the tool crates and test modules that handle
+/// plain files.
+const EXEMPTIONS: [(&str, &str); 27] = [
+    ("compat/parking_lot/src/lib.rs", TYPES),
+    ("crates/bench/src/lib.rs", METHODS), // whole crate: measurement records
+    ("crates/cli/src/lib.rs", METHODS),   // whole crate: the user's files
+    ("crates/cluster/src/meta.rs", METHODS), // `ClusterMeta::load`: CRC-checked read
+    ("crates/cluster/src/meta.rs", METHODS), // tests
     (
         "crates/core/src/cast.rs",
         "clippy::cast_possible_truncation",
     ),
     ("crates/core/src/cast.rs", "clippy::cast_sign_loss"),
-    ("crates/core/src/hash.rs", "clippy::disallowed_types"),
-    ("crates/core/src/hash.rs", "clippy::disallowed_types"),
+    ("crates/core/src/hash.rs", TYPES),
+    ("crates/core/src/hash.rs", TYPES),
+    ("crates/datagen/src/bin/ssj_datagen.rs", METHODS), // whole bin: the corpus file
+    ("crates/extern/src/spill.rs", METHODS),            // tests
+    ("crates/io/src/fs.rs", METHODS),                   // `publish_durable`: `File::create`
+    ("crates/io/src/fs.rs", METHODS),                   // `publish_durable`: the one `fs::rename`
+    ("crates/io/src/fs.rs", METHODS),                   // `sync_file`: `sync_all`
+    ("crates/io/src/fs.rs", METHODS),                   // `sync_dir`: `sync_all`
+    ("crates/io/src/fs.rs", METHODS),                   // tests
+    ("crates/io/src/lib.rs", METHODS),                  // `save_collection`: `File::create`
+    ("crates/io/src/lib.rs", METHODS),                  // tests
+    ("crates/store/src/lib.rs", METHODS),               // `WalFile::sync`: `sync_data`
+    ("crates/store/src/lib.rs", METHODS),               // `Store::open`: CRC-checked WAL read
+    ("crates/store/src/lib.rs", METHODS),               // `Store::open`: `sync_data`
+    ("crates/store/src/lib.rs", METHODS),               // `tail_wal`: CRC-checked WAL read
+    ("crates/store/src/lib.rs", METHODS),               // `truncate_wal`: `sync_data`
+    ("crates/store/src/lib.rs", METHODS),               // tests
+    ("crates/store/src/snapshot.rs", METHODS),          // `read_or_init_meta`: exact compare
+    ("crates/store/src/snapshot.rs", METHODS),          // tests
+    ("crates/xtask/src/lib.rs", METHODS),               // whole crate: sources, torn files
 ];
 
 fn repo_root() -> PathBuf {
