@@ -11,35 +11,36 @@
 //! * predicates with a *global* hamming bound (`Hamming {k}`) need no size
 //!   decomposition at all — one PartEnum instance covers every size;
 //! * predicates with a *multiplicative* size bound (`Jaccard`,
-//!   `MaxFraction`: partner size ≤ `ℓ/γ`) get the Figure 6 interval
-//!   construction, with each instance's threshold taken from the worst
-//!   hamming bound over the pair sizes it can see.
+//!   `MaxFraction`, `Dice`, `Cosine`: partner size ≤ `ℓ/ρ`) get the
+//!   Figure 6 interval construction of [`super::intervals`], built at the
+//!   exact ratio [`Predicate::interval_ratio`], with each instance's
+//!   threshold taken from the worst hamming bound over the pair sizes it
+//!   can see.
 
 use super::hamming::PartEnumHamming;
-use super::intervals::SizeIntervals;
+use super::intervals::IntervalInstances;
 use super::params::PartEnumParams;
 use crate::error::{Result, SsjError};
-use crate::hash::SigBuilder;
 use crate::predicate::Predicate;
 use crate::set::ElementId;
-use crate::signature::{Signature, SignatureScheme};
+use crate::signature::{SigScratch, Signature, SignatureScheme};
 
 #[derive(Debug, Clone)]
 enum Structure {
     /// One instance covers all sizes (global hamming bound).
     Single(PartEnumHamming),
     /// Size-interval decomposition (multiplicative size bound).
-    Intervals {
-        intervals: SizeIntervals,
-        /// `instances[i]` is instance `i+1` (1-based).
-        instances: Vec<PartEnumHamming>,
-    },
+    Intervals(IntervalInstances),
 }
 
 /// PartEnum generalized to any [`Predicate`] satisfying Section 6's two
-/// conditions (currently `Jaccard`, `Hamming`, and `MaxFraction`).
+/// conditions: `Jaccard`, `Hamming`, `MaxFraction`, `Dice` and `Cosine`.
 ///
-/// For interval-structured predicates, construction *verifies* the routing
+/// `Hamming` runs one instance over every size. The others run Figure 6's
+/// interval construction at the predicate's exact interval ratio
+/// ([`Predicate::interval_ratio`]: `γ`, `γ/(2−γ)` or `γ²`), so for
+/// `Jaccard` it builds the same intervals and per-interval thresholds as
+/// [`super::PartEnumJaccard`]. Construction still *verifies* the routing
 /// invariant rather than assuming it: for every size `ℓ` up to
 /// `max_set_size`, the largest joinable partner size must fall within the
 /// next interval, so that the Figure 6 "emit instances i and i+1" routing is
@@ -81,77 +82,34 @@ impl GeneralPartEnum {
             )));
         }
         if let Predicate::Hamming { k } = pred {
-            let p = params(k);
-            p.validate(k)?;
-            let instance = PartEnumHamming::new(k, p, seed)?;
             return Ok(Self {
                 pred,
-                structure: Structure::Single(instance),
+                structure: Structure::Single(PartEnumHamming::new(k, params(k), seed)?),
             });
         }
+        let core = IntervalInstances::build(pred, max_set_size, params, |i| {
+            (seed.wrapping_add(i).wrapping_mul(0x85eb_ca6b), i)
+        })?;
 
-        // Multiplicative case. Effective size ratio: how much larger a
-        // partner may be, probed at a reference size (uniform for the
-        // supported predicates).
-        let probe = max_set_size.max(16);
-        let Some((_, hi)) = pred.size_bounds(probe) else {
-            // supports_partenum() implies size bounds exist for every size.
-            return Err(SsjError::UnsupportedPredicate(format!(
-                "{pred:?} has no size bound at probe size {probe}"
-            )));
-        };
-        let ratio = (hi as f64 / probe as f64).max(1.0);
-        let gamma_eff = (1.0 / ratio).clamp(1e-6, 1.0);
-        let intervals = SizeIntervals::new(gamma_eff, max_set_size.max(1) + 1);
-
-        // Verify the i/i+1 routing is exhaustive for this predicate.
+        // Verify the i/i+1 routing is exhaustive for this predicate: the
+        // largest partner size of every covered size lands in the next
+        // interval at the latest.
+        let intervals = core.intervals();
         for len in 1..=max_set_size {
+            let hi = pred
+                .size_bounds(len)
+                .map_or(len, |(_, hi)| hi.clamp(len, max_set_size));
             let i = intervals.interval_of(len)?;
-            if let Some((_, hi)) = pred.size_bounds(len) {
-                let hi = hi.min(max_set_size);
-                if hi >= 1 {
-                    let j = intervals.interval_of(hi)?;
-                    if j > i + 1 {
-                        return Err(SsjError::UnsupportedPredicate(format!(
-                            "partner size {hi} for size {len} escapes interval {i}+1 (lands in {j})"
-                        )));
-                    }
-                }
+            let j = intervals.interval_of(hi)?;
+            if j > i + 1 {
+                return Err(SsjError::UnsupportedPredicate(format!(
+                    "partner size {hi} for size {len} escapes interval {i}+1 (lands in {j})"
+                )));
             }
-        }
-
-        // Per-instance hamming threshold: the worst hamming bound over pair
-        // sizes the instance can see (both in [l_{i−1}, r_i]; the supported
-        // predicates' bounds are monotone, so corners suffice — we still take
-        // the max over three corners for safety).
-        let mut instances = Vec::with_capacity(intervals.count());
-        for i in 1..=intervals.count() {
-            let (l, r) = intervals.interval(i);
-            let lo = if i > 1 {
-                intervals.interval(i - 1).0
-            } else {
-                l
-            };
-            let k = [(lo, r), (r, r), (lo, lo)]
-                .iter()
-                .filter_map(|&(a, b)| pred.hamming_bound(a, b))
-                .max()
-                .ok_or_else(|| SsjError::UnsupportedPredicate("no hamming bound".into()))?;
-            let p = params(k);
-            p.validate(k)?;
-            instances.push(PartEnumHamming::with_tag(
-                k,
-                p,
-                seed.wrapping_add(i as u64).wrapping_mul(0x85eb_ca6b),
-                i as u64,
-            )?);
         }
         Ok(Self {
             pred,
-            structure: Structure::Intervals {
-                intervals,
-                instances,
-            },
+            structure: Structure::Intervals(core),
         })
     }
 
@@ -163,42 +121,20 @@ impl GeneralPartEnum {
 
 impl SignatureScheme for GeneralPartEnum {
     fn signatures_into(&self, set: &[ElementId], out: &mut Vec<Signature>) {
-        self.signatures_scratch(set, &mut crate::signature::SigScratch::default(), out);
+        self.signatures_scratch(set, &mut SigScratch::default(), out);
     }
 
     fn signatures_scratch(
         &self,
         set: &[ElementId],
-        scratch: &mut crate::signature::SigScratch,
+        scratch: &mut SigScratch,
         out: &mut Vec<Signature>,
     ) {
         match &self.structure {
             Structure::Single(instance) => instance.signatures_scratch(set, scratch, out),
-            Structure::Intervals {
-                intervals,
-                instances,
-            } => {
-                if set.is_empty() {
-                    // Under a multiplicative predicate an empty set joins
-                    // only other empty sets: a constant sentinel signature
-                    // (domain-separated from instance tags) is exact.
-                    let mut sig = SigBuilder::new(u64::MAX);
-                    sig.push(0);
-                    out.push(sig.finish());
-                    return;
-                }
-                // Uncovered sizes emit nothing (see PartEnumJaccard): the
-                // fallible index entry points surface the error instead.
-                let Ok(i) = intervals.interval_of(set.len()) else {
-                    return;
-                };
-                if let Some(pe) = instances.get(i - 1) {
-                    pe.signatures_scratch(set, scratch, out);
-                }
-                if let Some(pe) = instances.get(i) {
-                    pe.signatures_scratch(set, scratch, out);
-                }
-            }
+            Structure::Intervals(core) => core.sign_by_size(set.len(), out, |pe, out| {
+                pe.signatures_scratch(set, scratch, out);
+            }),
         }
     }
 
@@ -206,7 +142,7 @@ impl SignatureScheme for GeneralPartEnum {
         match &self.structure {
             // The single-instance hamming structure signs any size.
             Structure::Single(_) => None,
-            Structure::Intervals { intervals, .. } => Some(intervals.max_size()),
+            Structure::Intervals(core) => Some(core.intervals().max_size()),
         }
     }
 

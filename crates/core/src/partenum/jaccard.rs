@@ -1,12 +1,12 @@
 //! PartEnum for jaccard SSJoins (Section 5, Figure 6).
 
 use super::hamming::PartEnumHamming;
-use super::intervals::SizeIntervals;
+use super::intervals::{IntervalInstances, SizeIntervals};
 use super::params::PartEnumParams;
-use crate::error::{Result, SsjError};
-use crate::hash::SigBuilder;
+use crate::error::Result;
+use crate::predicate::Predicate;
 use crate::set::ElementId;
-use crate::signature::{Signature, SignatureScheme};
+use crate::signature::{SigScratch, Signature, SignatureScheme};
 
 /// The PartEnum signature scheme for `Js(r, s) ≥ γ` (Figure 6).
 ///
@@ -18,13 +18,12 @@ use crate::signature::{Signature, SignatureScheme};
 /// tagged with the instance number so signatures of different instances
 /// never match. This *size-based filtering* is what makes PartEnum work for
 /// jaccard and is reusable by other schemes (the paper augments prefix
-/// filter with it too — see `ssj-baselines`).
+/// filter with it too — see `ssj-baselines`). The construction and the
+/// routing live in [`super::intervals`], shared with
+/// [`super::GeneralPartEnum`].
 #[derive(Debug, Clone)]
 pub struct PartEnumJaccard {
-    gamma: f64,
-    intervals: SizeIntervals,
-    /// `instances[i]` is `PE[i+1]` (1-based instance `i+1`).
-    instances: Vec<PartEnumHamming>,
+    core: IntervalInstances,
 }
 
 impl PartEnumJaccard {
@@ -44,111 +43,56 @@ impl PartEnumJaccard {
         seed: u64,
         params: impl Fn(usize) -> PartEnumParams,
     ) -> Result<Self> {
-        if !(gamma > 0.0 && gamma <= 1.0) {
-            return Err(SsjError::InvalidParams(format!(
-                "jaccard threshold must be in (0, 1], got {gamma}"
-            )));
-        }
-        // A set of size max_set_size ∈ I_m emits for instances m and m+1:
-        // cover one interval past max_set_size.
-        let intervals = SizeIntervals::new(gamma, max_set_size.max(1) + 1);
-        let mut instances = Vec::with_capacity(intervals.count());
-        for i in 1..=intervals.count() {
-            let k = intervals.hamming_threshold(i);
-            let p = params(k);
-            p.validate(k)?;
-            // Each instance gets its own derived seed and carries the
-            // instance number as its signature tag (Figure 6, steps 3–6).
-            instances.push(PartEnumHamming::with_tag(
-                k,
-                p,
-                seed.wrapping_add(i as u64).wrapping_mul(0x9e37_79b9),
-                i as u64,
-            )?);
-        }
-        Ok(Self {
-            gamma,
-            intervals,
-            instances,
-        })
+        let core =
+            IntervalInstances::build(Predicate::Jaccard { gamma }, max_set_size, params, |i| {
+                (seed.wrapping_add(i).wrapping_mul(0x9e37_79b9), i)
+            })?;
+        Ok(Self { core })
     }
 
-    /// The jaccard threshold.
+    /// The jaccard threshold (the intervals' ratio).
     pub fn gamma(&self) -> f64 {
-        self.gamma
+        self.core.intervals().gamma()
     }
 
     /// The size intervals in use.
     pub fn intervals(&self) -> &SizeIntervals {
-        &self.intervals
+        self.core.intervals()
     }
 
     /// The hamming instance for 1-based interval `i`, if covered.
     pub fn instance(&self, i: usize) -> Option<&PartEnumHamming> {
-        (i >= 1).then(|| self.instances.get(i - 1)).flatten()
+        self.core.instance(i)
     }
 
     /// Upper bound on signatures emitted for a set of the given size
     /// (instance `i` plus instance `i+1`); 0 for sizes beyond
     /// [`SignatureScheme::max_signable_len`], which emit nothing.
     pub fn signatures_per_set(&self, size: usize) -> usize {
-        if size == 0 {
-            return 1;
-        }
-        let Ok(i) = self.intervals.interval_of(size) else {
-            return 0;
-        };
-        let a = self.instance(i).map_or(0, |pe| pe.signatures_per_vector());
-        let b = self
-            .instance(i + 1)
-            .map_or(0, |pe| pe.signatures_per_vector());
-        a + b
+        self.core.signatures_per_set(size)
     }
 }
 
 impl SignatureScheme for PartEnumJaccard {
     fn signatures_into(&self, set: &[ElementId], out: &mut Vec<Signature>) {
-        self.signatures_scratch(set, &mut crate::signature::SigScratch::default(), out);
+        self.signatures_scratch(set, &mut SigScratch::default(), out);
     }
 
     fn signatures_scratch(
         &self,
         set: &[ElementId],
-        scratch: &mut crate::signature::SigScratch,
+        scratch: &mut SigScratch,
         out: &mut Vec<Signature>,
     ) {
-        if set.is_empty() {
-            // Js(∅, ∅) = 1 ≥ γ: all empty sets must share a signature, and
-            // Js(∅, s) = 0 < γ for non-empty s, so a constant sentinel
-            // signature (domain-separated from every instance tag) is exact.
-            let mut sig = SigBuilder::new(u64::MAX);
-            sig.push(0);
-            out.push(sig.finish());
-            return;
-        }
-        // A set longer than the covered range cannot be signed exactly (no
-        // instance was built for its interval): emit nothing rather than
-        // panic. Callers that index such sets go through the fallible entry
-        // points ([`crate::index::SimilarityIndex::try_insert`]) or fall
-        // back to a scan; the debug-build completeness invariants catch any
-        // path that forgets.
-        let Ok(i) = self.intervals.interval_of(set.len()) else {
-            return;
-        };
-        // Figure 6: emit PE[i] and PE[i+1] signatures, tagged by instance
-        // (the tag is baked into each instance's SigBuilder).
-        if let Some(pe) = self.instance(i) {
+        self.core.sign_by_size(set.len(), out, |pe, out| {
             pe.signatures_scratch(set, scratch, out);
-        }
-        if let Some(pe) = self.instance(i + 1) {
-            pe.signatures_scratch(set, scratch, out);
-        }
+        });
     }
 
     fn max_signable_len(&self) -> Option<usize> {
         // The size coverage requested at construction plus the one-interval
         // margin: the largest size `interval_of` resolves.
-        Some(self.intervals.max_size())
+        Some(self.core.intervals().max_size())
     }
 
     fn name(&self) -> &'static str {

@@ -18,9 +18,15 @@
 //! Module map:
 //! * [`params`] — (n1, n2) validation, k2, signature counts, candidates.
 //! * [`hamming`] — [`PartEnumHamming`], the Figure 3 scheme.
-//! * [`intervals`] — size intervals for jaccard (Figure 6 steps (a)–(c)).
-//! * [`jaccard`] — [`PartEnumJaccard`], Figure 6 with size-based filtering.
-//! * [`general`] — [`GeneralPartEnum`], the Section 6 predicate class.
+//! * [`intervals`] — Figure 6, written once: the size intervals, one
+//!   hamming instance per interval and the router that signs each set with
+//!   instances `i` and `i+1`. It has three users:
+//! * [`jaccard`] — [`PartEnumJaccard`], Figure 6 for jaccard;
+//! * [`general`] — [`GeneralPartEnum`], the Section 6 predicate class
+//!   (one instance for hamming; Figure 6 at the predicate's exact interval
+//!   ratio for jaccard, max-fraction, dice and cosine);
+//! * [`crate::replicated::ReplicatedPartEnumJaccard`] — Figure 6 over
+//!   replicated sizes (the Section 7 weighted reduction).
 //! * [`optimize`] — F2-estimation-based parameter choice (Table 1).
 
 pub mod general;

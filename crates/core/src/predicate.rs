@@ -208,6 +208,24 @@ impl Predicate {
         }
     }
 
+    /// The multiplicative form of [`Predicate::size_bounds`]: the ratio `ρ`
+    /// with `ρ ≤ |r|/|s| ≤ 1/ρ` for every joining pair — `γ` for
+    /// `Jaccard` and `MaxFraction`, `γ/(2−γ)` for `Dice`, `γ²` for
+    /// `Cosine`. Figure 6's size intervals are built at this ratio
+    /// (`r_i = ⌊l_i/ρ⌋`), so a joining pair always lands in the same or
+    /// adjacent intervals. `None` for predicates without such a bound.
+    pub fn interval_ratio(&self) -> Option<f64> {
+        match *self {
+            Predicate::Jaccard { gamma } | Predicate::MaxFraction { gamma } => Some(gamma),
+            Predicate::Dice { gamma } => Some(gamma / (2.0 - gamma)),
+            Predicate::Cosine { gamma } => Some(gamma * gamma),
+            Predicate::Hamming { .. }
+            | Predicate::Overlap { .. }
+            | Predicate::WeightedJaccard { .. }
+            | Predicate::WeightedOverlap { .. } => None,
+        }
+    }
+
     /// Weighted analogue of [`Predicate::size_bounds`]: the range of partner
     /// *weighted* sizes for a set of weighted size `wr`.
     pub fn weighted_size_bounds(&self, wr: f64) -> Option<(f64, f64)> {

@@ -21,20 +21,21 @@
 //! original weights (standard rounding, as the paper puts it).
 
 use crate::cast::{usize_of_f64, usize_of_u64};
-use crate::hash::{mix64, SigBuilder};
-use crate::partenum::{PartEnumHamming, PartEnumParams, SizeIntervals};
+use crate::hash::mix64;
+use crate::partenum::intervals::IntervalInstances;
+use crate::partenum::PartEnumParams;
+use crate::predicate::Predicate;
 use crate::set::{ElementId, WeightMap};
-use crate::signature::{Signature, SignatureScheme};
+use crate::signature::{SigScratch, Signature, SignatureScheme};
 use std::sync::Arc;
 
-/// PartEnum for weighted jaccard via element replication.
+/// PartEnum for weighted jaccard via element replication: the Figure 6
+/// construction ([`crate::partenum::intervals`]) over *replicated* sizes.
 #[derive(Debug, Clone)]
 pub struct ReplicatedPartEnumJaccard {
     quantum: f64,
     weights: Arc<WeightMap>,
-    intervals: SizeIntervals,
-    /// `instances[i]` is instance `i+1` over *replicated* sizes.
-    instances: Vec<PartEnumHamming>,
+    core: IntervalInstances,
 }
 
 impl ReplicatedPartEnumJaccard {
@@ -47,34 +48,27 @@ impl ReplicatedPartEnumJaccard {
         weights: Arc<WeightMap>,
         seed: u64,
     ) -> crate::error::Result<Self> {
-        if !(gamma > 0.0 && gamma <= 1.0) {
-            return Err(crate::error::SsjError::InvalidParams(format!(
-                "gamma must be in (0, 1], got {gamma}"
-            )));
-        }
         if quantum <= 0.0 {
             return Err(crate::error::SsjError::InvalidParams(
                 "quantum must be positive".into(),
             ));
         }
-        let intervals = SizeIntervals::new(gamma, max_replicated_size.max(1) + 1);
-        let mut instances = Vec::with_capacity(intervals.count());
-        for i in 1..=intervals.count() {
-            let k = intervals.hamming_threshold(i);
-            let params = PartEnumParams::default_for(k);
-            instances.push(PartEnumHamming::with_tag(
-                k,
-                params,
-                seed.wrapping_add(i as u64).wrapping_mul(0xc2b2_ae35),
-                // Tag space separated from the unweighted jaccard scheme.
-                (i as u64) | (1 << 40),
-            )?);
-        }
+        let core = IntervalInstances::build(
+            Predicate::Jaccard { gamma },
+            max_replicated_size,
+            PartEnumParams::default_for,
+            // Tag space separated from the unweighted jaccard scheme.
+            |i| {
+                (
+                    seed.wrapping_add(i).wrapping_mul(0xc2b2_ae35),
+                    i | (1 << 40),
+                )
+            },
+        )?;
         Ok(Self {
             quantum,
             weights,
-            intervals,
-            instances,
+            core,
         })
     }
 
@@ -108,41 +102,29 @@ impl ReplicatedPartEnumJaccard {
         set.iter().map(|&e| self.copies(e)).sum()
     }
 
+    /// A replicated size clamped into the covered range: a bag larger than
+    /// construction planned for is signed by the last interval's instance.
+    fn clamped(&self, size: usize) -> usize {
+        size.min(self.core.intervals().max_size())
+    }
+
     /// Total signatures this scheme emits for `set` (for the ablation's
     /// α^2.39 measurements).
     pub fn signatures_per_set(&self, set: &[ElementId]) -> usize {
         let size = usize_of_u64(self.replicated_size(set));
-        if size == 0 {
-            return 1;
-        }
-        // The clamp above keeps `size` inside the covered range, so
-        // `interval_of` cannot fail; the fallback is unreachable.
-        let size = size.min(self.intervals.interval(self.intervals.count()).1);
-        let i = self
-            .intervals
-            .interval_of(size)
-            .unwrap_or(self.intervals.count());
-        let a = self
-            .instances
-            .get(i - 1)
-            .map_or(0, |pe| pe.signatures_per_vector());
-        let b = self
-            .instances
-            .get(i)
-            .map_or(0, |pe| pe.signatures_per_vector());
-        a + b
+        self.core.signatures_per_set(self.clamped(size))
     }
 }
 
 impl SignatureScheme for ReplicatedPartEnumJaccard {
     fn signatures_into(&self, set: &[ElementId], out: &mut Vec<Signature>) {
-        self.signatures_scratch(set, &mut crate::signature::SigScratch::default(), out);
+        self.signatures_scratch(set, &mut SigScratch::default(), out);
     }
 
     fn signatures_scratch(
         &self,
         set: &[ElementId],
-        scratch: &mut crate::signature::SigScratch,
+        scratch: &mut SigScratch,
         out: &mut Vec<Signature>,
     ) {
         // Replicate: element e becomes items (e, 0), ..., (e, copies−1),
@@ -156,27 +138,13 @@ impl SignatureScheme for ReplicatedPartEnumJaccard {
         }
         items.sort_unstable();
         items.dedup();
-        if items.is_empty() {
-            // Zero total weight: joins only other zero-weight sets.
-            let mut sig = SigBuilder::new(u64::MAX - 2);
-            sig.push(0);
-            out.push(sig.finish());
-            return;
-        }
-        // Clamped into the covered range: `interval_of` cannot fail.
-        let size = items
-            .len()
-            .min(self.intervals.interval(self.intervals.count()).1);
-        let i = self
-            .intervals
-            .interval_of(size)
-            .unwrap_or(self.intervals.count());
-        if let Some(pe) = self.instances.get(i - 1) {
-            pe.signatures_for_items_scratch(items, &mut scratch.assignments, out);
-        }
-        if let Some(pe) = self.instances.get(i) {
-            pe.signatures_for_items_scratch(items, &mut scratch.assignments, out);
-        }
+        // Zero total weight signs as the empty set: it joins only other
+        // zero-weight sets.
+        let assignments = &mut scratch.assignments;
+        self.core
+            .sign_by_size(self.clamped(items.len()), out, |pe, out| {
+                pe.signatures_for_items_scratch(items, assignments, out);
+            });
     }
 
     fn name(&self) -> &'static str {

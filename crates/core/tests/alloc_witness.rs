@@ -10,7 +10,8 @@
 //! * verified queries through `JaccardIndex::query_counted_scratch` (the
 //!   serve read path's per-shard workhorse);
 //! * signature generation through `SignatureScheme::signatures_scratch`
-//!   for both PartEnum (unweighted) and WtEnum (weighted) schemes;
+//!   for the three Figure-6 PartEnum schemes (`PartEnumJaccard`,
+//!   `GeneralPartEnum`, `ReplicatedPartEnumJaccard`) and WtEnum;
 //! * the partner-list kernel both join executors share —
 //!   `count_bucket_partners` / `fill_bucket_partners` /
 //!   `dedup_partner_lists` over a warmed partner array;
@@ -39,7 +40,10 @@ use ssj_core::partners::{count_bucket_partners, dedup_partner_lists, fill_bucket
 use ssj_core::set::{ElementId, SetCollection, SetId, WeightMap};
 use ssj_core::signature::{SigScratch, SignatureScheme};
 use ssj_core::verify::{BitmapIndex, BitmapVerifier, ExactVerifier, Verifier};
-use ssj_core::{PartEnumJaccard, Predicate, WtEnumJaccard};
+use ssj_core::{
+    GeneralPartEnum, PartEnumJaccard, Predicate, ReplicatedPartEnumJaccard, WtEnumJaccard,
+};
+use std::sync::Arc;
 
 // --- counting allocator -------------------------------------------------
 
@@ -168,32 +172,63 @@ fn warmed_index_queries_allocate_nothing() {
 #[test]
 fn warmed_partenum_signatures_allocate_nothing() {
     let sets = random_sets(200, 400, 4, 24, 0x5eed_0002);
-    let scheme = PartEnumJaccard::new(0.7, 32, 11).expect("valid gamma");
-    let mut scratch = SigScratch::default();
-    let mut sigs = Vec::new();
+    // Integral weights 1–3: every element replicates into 1–3 copies.
+    let weights = Arc::new(WeightMap::from_pairs(
+        (0..400u32).map(|e| (e, f64::from(1 + e % 3))),
+        1.0,
+    ));
+    // All three Figure-6 schemes sign through the one interval router.
+    let schemes: [(&str, Box<dyn SignatureScheme>); 4] = [
+        (
+            "PartEnumJaccard",
+            Box::new(PartEnumJaccard::new(0.7, 32, 11).expect("valid gamma")),
+        ),
+        (
+            "GeneralPartEnum(Jaccard)",
+            Box::new(
+                GeneralPartEnum::new(Predicate::Jaccard { gamma: 0.7 }, 32, 11).expect("supported"),
+            ),
+        ),
+        (
+            "GeneralPartEnum(Dice)",
+            Box::new(
+                GeneralPartEnum::new(Predicate::Dice { gamma: 0.7 }, 32, 11).expect("supported"),
+            ),
+        ),
+        (
+            "ReplicatedPartEnumJaccard",
+            Box::new(
+                ReplicatedPartEnumJaccard::new(0.7, 3 * 24, 1.0, weights, 11).expect("valid gamma"),
+            ),
+        ),
+    ];
+    for (label, scheme) in &schemes {
+        let mut scratch = SigScratch::default();
+        let mut sigs = Vec::new();
 
-    let mut warm_total = 0usize;
-    for set in &sets {
-        sigs.clear();
-        scheme.signatures_scratch(set, &mut scratch, &mut sigs);
-        warm_total += sigs.len();
-    }
-    assert!(warm_total > 0, "warm-up generated no signatures");
-
-    let (allocs, total) = count_allocs(|| {
-        let mut total = 0usize;
+        let mut warm_total = 0usize;
         for set in &sets {
             sigs.clear();
-            scheme.signatures_scratch(black_box(set.as_slice()), &mut scratch, &mut sigs);
-            total += sigs.len();
+            scheme.signatures_scratch(set, &mut scratch, &mut sigs);
+            warm_total += sigs.len();
         }
-        total
-    });
-    assert_eq!(
-        total, warm_total,
-        "steady-state pass must repeat the warm-up"
-    );
-    assert_steady_state("PartEnumJaccard::signatures_scratch", allocs);
+        assert!(warm_total > 0, "{label}: warm-up generated no signatures");
+
+        let (allocs, total) = count_allocs(|| {
+            let mut total = 0usize;
+            for set in &sets {
+                sigs.clear();
+                scheme.signatures_scratch(black_box(set.as_slice()), &mut scratch, &mut sigs);
+                total += sigs.len();
+            }
+            total
+        });
+        assert_eq!(
+            total, warm_total,
+            "{label}: steady-state pass must repeat the warm-up"
+        );
+        assert_steady_state(&format!("{label}::signatures_scratch"), allocs);
+    }
 }
 
 #[test]
